@@ -80,8 +80,7 @@ soak-smoke:
 	$(GO) run -race ./cmd/sicsoak -shards 2 -stations 24 -aps 3 \
 		-duration 15s -kill 5s -revive 8s -seed 42
 
-# BENCH_10.json is the committed baseline bench-check compares against
-# (BENCH_6.json is the pre-batched-engine baseline, kept for history);
+# BENCH_10.json is the committed baseline bench-check compares against;
 # clean removes only derived artifacts.
 clean:
 	rm -rf results BENCH_5.json BENCH_ci.json

@@ -15,7 +15,7 @@
 // With -against, benchjson instead compares two previously-written
 // artifacts and exits non-zero on regression:
 //
-//	benchjson -against BENCH_ci.json -baseline BENCH_6.json \
+//	benchjson -against BENCH_ci.json -baseline BENCH_10.json \
 //	    -benches BenchmarkMinCostPerfect64,BenchmarkScheduler64Clients -max-ratio 5 \
 //	    -faster BenchmarkSolverWarm64:BenchmarkMinCostPerfect64:3
 //

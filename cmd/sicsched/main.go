@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -70,7 +71,7 @@ func main() {
 		if len(clients) < 2 {
 			continue
 		}
-		s, err := sched.New(clients, opts)
+		s, err := sched.New(context.Background(), clients, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sicsched: snapshot %s@%d: %v (skipped)\n", snap.AP, snap.Unix, err)
 			continue

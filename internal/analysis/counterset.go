@@ -7,15 +7,16 @@ import (
 )
 
 // CounterSet flags by-value transfer of structs that hold synchronisation
-// state. Copying a sync.Mutex forks the lock; copying stats.CounterSet
-// copies its slice header so two "independent" counter sets silently
-// share (or, after growth, silently stop sharing) the same atomics —
-// either way the daemon's drop/shed accounting stops meaning what it
-// says. Unlike go vet's copylocks, this also treats slices and arrays of
-// sync/atomic values as carriers, which is exactly the CounterSet shape.
+// state. Copying a sync.Mutex forks the lock; copying a counter set whose
+// struct holds a []atomic.Int64 copies the slice header, so two
+// "independent" counter sets silently share (or, after growth, silently
+// stop sharing) the same atomics — either way drop/shed accounting stops
+// meaning what it says. Unlike go vet's copylocks, this also treats slices
+// and arrays of sync/atomic values as carriers, which is exactly that
+// counter-set shape.
 var CounterSet = &Analyzer{
 	Name: "counterset",
-	Doc:  "mutex- or atomic-holding structs (stats.CounterSet et al.) must move by pointer, never by value",
+	Doc:  "mutex- or atomic-holding structs (counter sets et al.) must move by pointer, never by value",
 	Run:  runCounterSet,
 }
 
@@ -140,8 +141,8 @@ func exprType(info *types.Info, e ast.Expr) types.Type {
 // values stop the search: copying those shares, not forks. Slices count
 // only when reached through a struct field — copying a bare slice copies
 // no elements, but copying a struct whose field is a slice of atomics
-// (the stats.CounterSet shape) yields two values that silently share the
-// same counters.
+// (the counter-set shape) yields two values that silently share the same
+// counters.
 func syncWitness(t types.Type, seen map[types.Type]bool) string {
 	return witnessIn(t, seen, false)
 }

@@ -23,7 +23,8 @@ var ctxPackages = map[string]bool{
 // CtxFirst enforces context discipline in the scheduling packages:
 // context.Context parameters come first, exported blocking functions must
 // take one, and context.Background()/TODO() may appear only behind a
-// //lint:allow ctxfirst directive documenting a compatibility wrapper.
+// //lint:allow ctxfirst directive documenting why (a server's one root
+// context, cancelled by its Shutdown).
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "scheduling packages must thread cancellation: ctx first, blocking exports take ctx, no stray context.Background()",
@@ -67,7 +68,7 @@ func runCtxFirst(pass *Pass) {
 
 	// Library code must not mint root contexts: a fresh Background()
 	// detaches the work from the caller's deadline. The documented
-	// compatibility wrappers carry //lint:allow ctxfirst directives.
+	// root contexts carry //lint:allow ctxfirst directives.
 	for ident, obj := range info.Uses {
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {

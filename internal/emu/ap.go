@@ -358,7 +358,7 @@ func runAP(ctx context.Context, stations []mac.Station, actors map[uint32]*stati
 		for i, id := range schedIDs {
 			clients[i] = sched.Client{ID: fmt.Sprint(id), SNR: snrOf[id]}
 		}
-		schedule, err := sched.New(clients, opts)
+		schedule, err := sched.New(ctx, clients, opts)
 		if err != nil {
 			return Result{}, fmt.Errorf("emu: round %d: %w", round, err)
 		}

@@ -162,11 +162,11 @@ func AblationGreedy(ctx context.Context, p Params) (Result, error) {
 		if !ok {
 			continue
 		}
-		opt, err := sched.New(clients, opts)
+		opt, err := sched.New(ctx, clients, opts)
 		if err != nil {
 			return Result{}, err
 		}
-		gr, err := sched.Greedy(clients, opts)
+		gr, err := sched.Greedy(ctx, clients, opts)
 		if err != nil {
 			return Result{}, err
 		}

@@ -36,12 +36,6 @@ type Params struct {
 	// sweep a figure runs. Excluded from JSON so attaching instrumentation
 	// never changes checkpoint keys (runner.ParamsKey hashes this struct).
 	MC *mc.Metrics `json:"-"`
-	// ScalarMC forces the Monte-Carlo figures through mc's legacy scalar
-	// engine instead of the batched columnar one. The engines are
-	// bit-identical by contract (the golden tests pin it), so this is
-	// excluded from JSON: checkpoint keys are engine-agnostic, and a
-	// checkpoint written under one engine resumes cleanly under the other.
-	ScalarMC bool `json:"-"`
 }
 
 // DefaultParams mirrors the paper's scale: 10 000 Monte-Carlo trials,

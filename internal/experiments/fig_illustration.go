@@ -89,7 +89,7 @@ func Fig10(ctx context.Context, p Params) (Result, error) {
 	for i := range clients {
 		clients[i] = sched.Client{ID: names[i], SNR: snrs[i]}
 	}
-	s, err := sched.New(clients, sched.Options{Channel: p.Channel, PacketBits: p.PacketBits})
+	s, err := sched.New(ctx, clients, sched.Options{Channel: p.Channel, PacketBits: p.PacketBits})
 	if err != nil {
 		return Result{}, err
 	}

@@ -27,7 +27,6 @@ func mcConfig(p Params, separation, txRange float64) (mc.Config, error) {
 		Channel:    p.Channel,
 		PacketBits: p.PacketBits,
 		Metrics:    p.MC,
-		Scalar:     p.ScalarMC,
 	}, nil
 }
 

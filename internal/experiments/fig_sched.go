@@ -41,18 +41,18 @@ func Fig12(ctx context.Context, p Params) (Result, error) {
 		for i := range clients {
 			clients[i] = sched.Client{ID: fmt.Sprintf("c%d", i), SNR: phy.FromDB(3 + rng.Float64()*40)}
 		}
-		s, err := sched.New(clients, opts)
+		s, err := sched.New(ctx, clients, opts)
 		if err != nil {
 			return Result{}, err
 		}
-		exh, err := exhaustiveBest(clients, opts)
+		exh, err := exhaustiveBest(ctx, clients, opts)
 		if err != nil {
 			return Result{}, err
 		}
 		if d := math.Abs(s.Total-exh) / exh; d > worstOptVsExh {
 			worstOptVsExh = d
 		}
-		g, err := sched.Greedy(clients, opts)
+		g, err := sched.Greedy(ctx, clients, opts)
 		if err != nil {
 			return Result{}, err
 		}
@@ -74,7 +74,7 @@ func Fig12(ctx context.Context, p Params) (Result, error) {
 		{ID: "D", SNR: phy.FromDB(14)},
 		{ID: "E", SNR: phy.FromDB(22)},
 	}
-	s, err := sched.New(example, opts)
+	s, err := sched.New(ctx, example, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -115,7 +115,7 @@ func Fig12(ctx context.Context, p Params) (Result, error) {
 // exhaustiveBest enumerates every pairing (with at most one solo client for
 // odd n) and returns the minimum total drain time under the same cost model
 // the scheduler uses.
-func exhaustiveBest(clients []sched.Client, opts sched.Options) (float64, error) {
+func exhaustiveBest(ctx context.Context, clients []sched.Client, opts sched.Options) (float64, error) {
 	n := len(clients)
 	idx := make([]int, n)
 	for i := range idx {
@@ -127,14 +127,14 @@ func exhaustiveBest(clients []sched.Client, opts sched.Options) (float64, error)
 	// soloTime via a 1-client schedule. This reuses the exact production
 	// cost model rather than duplicating it.
 	pairTime := func(i, j int) (float64, error) {
-		s, err := sched.New([]sched.Client{clients[i], clients[j]}, opts)
+		s, err := sched.New(ctx, []sched.Client{clients[i], clients[j]}, opts)
 		if err != nil {
 			return 0, err
 		}
 		return s.Total, nil
 	}
 	soloTime := func(i int) (float64, error) {
-		s, err := sched.New([]sched.Client{clients[i]}, opts)
+		s, err := sched.New(ctx, []sched.Client{clients[i]}, opts)
 		if err != nil {
 			return 0, err
 		}

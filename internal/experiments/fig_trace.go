@@ -64,7 +64,7 @@ func Fig13(ctx context.Context, p Params) (Result, error) {
 		}
 		usable++
 		for vi, v := range variants {
-			s, err := sched.New(clients, v.opts)
+			s, err := sched.New(ctx, clients, v.opts)
 			if err != nil {
 				return Result{}, fmt.Errorf("fig13: snapshot %s@%d: %w", snap.AP, snap.Unix, err)
 			}

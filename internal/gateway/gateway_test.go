@@ -220,6 +220,11 @@ func TestGatewayFanoutMergeAndDedup(t *testing.T) {
 	// Duplicate and stale sequence numbers die at the gateway.
 	pre := tr.gw.IngestEvents().Get("dup")
 	sendReports(t, tr.gw, reportRound(stations[:3], 1, 1))
+	// sendReports paces on the read loop's datagrams counter; dedup runs
+	// after it, in the filter loop, so wait for the filter to catch up.
+	waitFor(t, 5*time.Second, "replayed reports to be deduplicated", func() bool {
+		return tr.gw.IngestEvents().Get("dup")-pre >= 3
+	})
 	if got := tr.gw.IngestEvents().Get("dup") - pre; got != 3 {
 		t.Fatalf("dup = %d after 3 replayed reports, want 3", got)
 	}

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -164,7 +165,7 @@ func TestScheduledMatchesAnalyticPrediction(t *testing.T) {
 	for i, s := range sts {
 		clients[i] = sched.Client{ID: "x", SNR: s.SNR}
 	}
-	want, err := sched.New(clients, schedOpts())
+	want, err := sched.New(context.Background(), clients, schedOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +531,7 @@ func TestScheduledMatchesDrainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := sched.Drain(clients, backlogs, schedOpts())
+	plan, err := sched.Drain(context.Background(), clients, backlogs, schedOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

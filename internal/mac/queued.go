@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -255,7 +256,7 @@ func RunQueuedScheduled(stations []Station, cfg QueuedConfig, opts sched.Options
 		for k, i := range ready {
 			clients[k] = sched.Client{ID: fmt.Sprint(stations[i].ID), SNR: stations[i].SNR}
 		}
-		schedule, err := sched.New(clients, opts)
+		schedule, err := sched.New(context.Background(), clients, opts)
 		if err != nil {
 			return QueuedResult{}, fmt.Errorf("mac: queued round %d: %w", rounds, err)
 		}

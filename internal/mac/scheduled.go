@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -98,7 +99,7 @@ func RunScheduled(stations []Station, cfg Config, opts sched.Options) (Result, e
 				ids = append(ids, id)
 			}
 		}
-		schedule, err := sched.New(clients, opts)
+		schedule, err := sched.New(context.Background(), clients, opts)
 		if err != nil {
 			return Result{}, fmt.Errorf("mac: round %d scheduling: %w", res.Rounds, err)
 		}

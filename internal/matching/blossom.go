@@ -74,12 +74,6 @@ func (s *blossomSolver) cancelled() bool {
 
 const infWeight = int64(1) << 62
 
-func newBlossom(n int) *blossomSolver {
-	s := &blossomSolver{}
-	s.reset(n)
-	return s
-}
-
 // reset prepares the solver for an instance on n real vertices. Buffers are
 // grown only when n exceeds every previously seen size, so steady-state
 // reuse through a Solver allocates nothing.

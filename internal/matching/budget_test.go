@@ -3,7 +3,6 @@ package matching
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -24,18 +23,21 @@ func randCosts(rng *rand.Rand, n int, maxC int64) [][]int64 {
 	return cost
 }
 
-// TestMinCostPerfectCtxMatchesUncancelled: with a background context the ctx
-// entry point must agree exactly with the plain one.
+// TestMinCostPerfectCtxMatchesUncancelled: a live context that never fires
+// arms the solver's cancellation probe, and must not change the answer a
+// background context gets.
 func TestMinCostPerfectCtxMatchesUncancelled(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 * (1 + rng.Intn(8))
 		cost := randCosts(rng, n, 1000)
-		m1, t1, err := MinCostPerfect(cost)
+		m1, t1, err := MinCostPerfect(context.Background(), cost)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, t2, err := MinCostPerfectCtx(context.Background(), cost)
+		m2, t2, err := MinCostPerfect(ctx, cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +58,7 @@ func TestMinCostPerfectCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rng := rand.New(rand.NewSource(3))
-	_, _, err := MinCostPerfectCtx(ctx, randCosts(rng, 40, 1_000_000))
+	_, _, err := MinCostPerfect(ctx, randCosts(rng, 40, 1_000_000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -70,115 +72,11 @@ func TestMinCostPerfectCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := MinCostPerfectCtx(ctx, cost)
+	_, _, err := MinCostPerfect(ctx, cost)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
 	if e := time.Since(start); e > 2*time.Second {
 		t.Fatalf("cancelled solve took %v, want bounded abort", e)
-	}
-}
-
-// TestMaxWeightTooLarge: weights past the overflow-safe bound are rejected
-// at the API boundary instead of corrupting the duals.
-func TestMaxWeightTooLarge(t *testing.T) {
-	huge := int64(math.MaxInt64 / 2)
-	w := [][]int64{{0, huge}, {huge, 0}}
-	if _, _, err := MaxWeight(w); !errors.Is(err, ErrWeightTooLarge) {
-		t.Fatalf("got %v, want ErrWeightTooLarge", err)
-	}
-}
-
-// TestMinCostPerfectFloatCtx: the float entry point honours cancellation —
-// previously it routed through the context-free solver, so a daemon rung
-// using float costs could not be abandoned on deadline — and with a live
-// context it agrees exactly with the wrapper.
-func TestMinCostPerfectFloatCtx(t *testing.T) {
-	ok := [][]float64{{0, 2.5, 9, 9}, {2.5, 0, 9, 9}, {9, 9, 0, 1.5}, {9, 9, 1.5, 0}}
-
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := MinCostPerfectFloatCtx(cancelled, ok, 1e-6); !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-
-	m1, t1, err := MinCostPerfectFloatCtx(context.Background(), ok, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, t2, err := MinCostPerfectFloat(ok, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Fatalf("totals differ: %v vs %v", t1, t2)
-	}
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatalf("mates differ at %d: %d vs %d", i, m1[i], m2[i])
-		}
-	}
-}
-
-// TestMinCostPerfectFloatCtxDeadline: a large float instance under an
-// immediate deadline aborts promptly instead of running to completion.
-func TestMinCostPerfectFloatCtxDeadline(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 200
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			c := rng.Float64() * 1e6
-			cost[i][j], cost[j][i] = c, c
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
-	defer cancel()
-	start := time.Now()
-	if _, _, err := MinCostPerfectFloatCtx(ctx, cost, 1e-3); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want context.DeadlineExceeded", err)
-	}
-	if e := time.Since(start); e > 2*time.Second {
-		t.Fatalf("cancelled solve took %v, want bounded abort", e)
-	}
-}
-
-// TestMinCostPerfectFloatValidation: NaN/Inf/negative float costs and bad
-// quanta are rejected; valid input agrees with the integer solver.
-func TestMinCostPerfectFloatValidation(t *testing.T) {
-	nan := [][]float64{{0, math.NaN()}, {math.NaN(), 0}}
-	if _, _, err := MinCostPerfectFloat(nan, 1e-9); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("NaN: got %v, want ErrNonFinite", err)
-	}
-	inf := [][]float64{{0, math.Inf(1)}, {math.Inf(1), 0}}
-	if _, _, err := MinCostPerfectFloat(inf, 1e-9); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("Inf: got %v, want ErrNonFinite", err)
-	}
-	neg := [][]float64{{0, -1}, {-1, 0}}
-	if _, _, err := MinCostPerfectFloat(neg, 1e-9); !errors.Is(err, ErrNegativeCost) {
-		t.Fatalf("negative: got %v, want ErrNegativeCost", err)
-	}
-	ragged := [][]float64{{0, 1}, {1}}
-	if _, _, err := MinCostPerfectFloat(ragged, 1e-9); err == nil {
-		t.Fatal("ragged matrix accepted")
-	}
-	ok := [][]float64{{0, 2.5, 9, 9}, {2.5, 0, 9, 9}, {9, 9, 0, 1.5}, {9, 9, 1.5, 0}}
-	for _, quantum := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, _, err := MinCostPerfectFloat(ok, quantum); err == nil {
-			t.Fatalf("quantum %v accepted", quantum)
-		}
-	}
-	mate, total, err := MinCostPerfectFloat(ok, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mate[0] != 1 || mate[2] != 3 {
-		t.Fatalf("unexpected matching %v", mate)
-	}
-	if math.Abs(total-4.0) > 1e-12 {
-		t.Fatalf("total = %v, want 4", total)
 	}
 }

@@ -36,9 +36,6 @@ var ErrAsymmetric = errors.New("matching: weight matrix must be symmetric")
 // is astronomically beyond any airtime the scheduler produces.
 var ErrWeightTooLarge = errors.New("matching: weight too large for overflow-free duals")
 
-// ErrNonFinite is returned by the float boundary for NaN or infinite costs.
-var ErrNonFinite = errors.New("matching: cost is NaN or infinite")
-
 // validateSquareSymmetric checks the matrix shape shared by all entry points.
 func validateSquareSymmetric(w [][]int64) error {
 	n := len(w)
@@ -64,80 +61,18 @@ func maxSafeWeight(n int) int64 {
 	return math.MaxInt64 / int64(4*(n+2))
 }
 
-// MaxWeight computes a maximum-weight matching (not necessarily perfect) of
-// the undirected graph given by the symmetric non-negative weight matrix w;
-// w[i][j] == 0 means "no edge". It returns the mate of every vertex
-// (Unmatched for exposed vertices) and the total weight of the matching.
-func MaxWeight(w [][]int64) (mate []int, total int64, err error) {
-	//lint:allow ctxfirst documented compatibility wrapper over MaxWeightCtx
-	return MaxWeightCtx(context.Background(), w)
-}
-
-// MaxWeightCtx is MaxWeight with cooperative cancellation: when ctx is
-// cancelled or its deadline passes mid-solve, the solver abandons the
-// instance within a bounded amount of work and returns ctx.Err(). The
-// scheduling daemon's degradation ladder relies on this to bound the time a
-// pathological instance can hold the serving loop.
-func MaxWeightCtx(ctx context.Context, w [][]int64) (mate []int, total int64, err error) {
-	if err := validateSquareSymmetric(w); err != nil {
-		return nil, 0, err
-	}
-	n := len(w)
-	safe := maxSafeWeight(n)
-	for i := range w {
-		for j := range w[i] {
-			if w[i][j] < 0 {
-				return nil, 0, ErrNegativeCost
-			}
-			if w[i][j] > safe {
-				return nil, 0, fmt.Errorf("%w: w[%d][%d] = %d exceeds %d for %d vertices",
-					ErrWeightTooLarge, i, j, w[i][j], safe, n)
-			}
-		}
-	}
-	mate = make([]int, n)
-	for i := range mate {
-		mate[i] = Unmatched
-	}
-	if n == 0 {
-		return mate, 0, nil
-	}
-	b := newBlossom(n)
-	if ctx.Done() != nil {
-		b.stop = func() bool { return ctx.Err() != nil }
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b.setEdge(i+1, j+1, w[i][j])
-		}
-	}
-	total = b.solve()
-	if b.aborted {
-		return nil, 0, ctx.Err()
-	}
-	for u := 1; u <= n; u++ {
-		if b.match[u] != 0 {
-			mate[u-1] = b.match[u] - 1
-		}
-	}
-	return mate, total, nil
-}
-
 // MinCostPerfect computes a minimum-cost perfect matching of the complete
 // graph on len(cost) vertices with the given symmetric non-negative cost
 // matrix (diagonal ignored). The SIC scheduler uses this directly: vertices
 // are backlogged clients plus an optional dummy, edge costs are joint
-// transmission times.
-func MinCostPerfect(cost [][]int64) (mate []int, total int64, err error) {
-	//lint:allow ctxfirst documented compatibility wrapper over MinCostPerfectCtx
-	return MinCostPerfectCtx(context.Background(), cost)
-}
-
-// MinCostPerfectCtx is MinCostPerfect with cooperative cancellation (see
-// MaxWeightCtx). A cancelled solve returns ctx.Err(). It is a thin facade
-// over Solver: one-shot callers get exactly the cold path that reusable
-// callers exercise, so every test of this function covers the engine too.
-func MinCostPerfectCtx(ctx context.Context, cost [][]int64) (mate []int, total int64, err error) {
+// transmission times. When ctx is cancelled or its deadline passes
+// mid-solve, the solver abandons the instance within a bounded amount of
+// work and returns ctx.Err(); the scheduling daemon's degradation ladder
+// relies on this to bound the time a pathological instance can hold the
+// serving loop. It is a thin facade over Solver: one-shot callers get
+// exactly the cold path that reusable callers exercise, so every test of
+// this function covers the engine too.
+func MinCostPerfect(ctx context.Context, cost [][]int64) (mate []int, total int64, err error) {
 	if err := validateSquareSymmetric(cost); err != nil {
 		return nil, 0, err
 	}
@@ -167,60 +102,6 @@ func MinCostPerfectCtx(ctx context.Context, cost [][]int64) (mate []int, total i
 	}
 	mate = make([]int, n)
 	copy(mate, s.Mates())
-	return mate, total, nil
-}
-
-// MinCostPerfectFloat is the float-cost boundary of MinCostPerfect. It is a
-// documented compatibility wrapper over MinCostPerfectFloatCtx with a
-// background context; deadline-sensitive callers (the scheduling daemon's
-// degradation ladder) should use the Ctx form so mid-solve cancellation
-// works on this entry point too.
-func MinCostPerfectFloat(cost [][]float64, quantum float64) (mate []int, total float64, err error) {
-	//lint:allow ctxfirst documented compatibility wrapper over MinCostPerfectFloatCtx
-	return MinCostPerfectFloatCtx(context.Background(), cost, quantum)
-}
-
-// MinCostPerfectFloatCtx is the float-cost boundary of MinCostPerfect with
-// cooperative cancellation: every entry is validated (finite via
-// ErrNonFinite, non-negative via ErrNegativeCost) and quantized to integer
-// multiples of quantum before solving, so callers handing the matcher raw
-// float measurements cannot silently obtain a bogus matching from NaN/Inf
-// propagation. The returned total is the sum of the original (unquantized)
-// costs along the matching. A cancelled ctx returns ctx.Err().
-func MinCostPerfectFloatCtx(ctx context.Context, cost [][]float64, quantum float64) (mate []int, total float64, err error) {
-	if !(quantum > 0) || math.IsInf(quantum, 1) {
-		return nil, 0, fmt.Errorf("matching: quantum must be a positive finite number, got %v", quantum)
-	}
-	n := len(cost)
-	q := make([][]int64, n)
-	for i, row := range cost {
-		if len(row) != n {
-			return nil, 0, fmt.Errorf("matching: row %d has length %d, want %d", i, len(row), n)
-		}
-		q[i] = make([]int64, n)
-		for j, c := range row {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return nil, 0, fmt.Errorf("%w: cost[%d][%d] = %v", ErrNonFinite, i, j, c)
-			}
-			if c < 0 {
-				return nil, 0, fmt.Errorf("%w: cost[%d][%d] = %v", ErrNegativeCost, i, j, c)
-			}
-			scaled := math.Round(c / quantum)
-			if scaled > float64(maxSafeWeight(n)) {
-				return nil, 0, fmt.Errorf("%w: cost[%d][%d] = %v at quantum %v", ErrWeightTooLarge, i, j, c, quantum)
-			}
-			q[i][j] = int64(scaled)
-		}
-	}
-	mate, _, err = MinCostPerfectCtx(ctx, q)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, m := range mate {
-		if i < m {
-			total += cost[i][m]
-		}
-	}
 	return mate, total, nil
 }
 

@@ -1,57 +1,12 @@
 package matching
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
 )
-
-// bruteMaxWeight enumerates all matchings recursively; usable to n ≈ 10.
-func bruteMaxWeight(w [][]int64) int64 {
-	n := len(w)
-	used := make([]bool, n)
-	var rec func(i int) int64
-	rec = func(i int) int64 {
-		for i < n && used[i] {
-			i++
-		}
-		if i >= n {
-			return 0
-		}
-		used[i] = true
-		best := rec(i + 1) // leave i unmatched
-		for j := i + 1; j < n; j++ {
-			if used[j] || w[i][j] == 0 {
-				continue
-			}
-			used[j] = true
-			if v := w[i][j] + rec(i+1); v > best {
-				best = v
-			}
-			used[j] = false
-		}
-		used[i] = false
-		return best
-	}
-	return rec(0)
-}
-
-func randSymmetric(rng *rand.Rand, n int, maxW int64, density float64) [][]int64 {
-	w := make([][]int64, n)
-	for i := range w {
-		w[i] = make([]int64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < density {
-				v := rng.Int63n(maxW) + 1
-				w[i][j], w[j][i] = v, v
-			}
-		}
-	}
-	return w
-}
 
 func checkMatchingConsistent(t *testing.T, mate []int) {
 	t.Helper()
@@ -68,131 +23,16 @@ func checkMatchingConsistent(t *testing.T, mate []int) {
 	}
 }
 
-func matchingWeight(w [][]int64, mate []int) int64 {
-	var total int64
-	for i, m := range mate {
-		if m != Unmatched && i < m {
-			total += w[i][m]
-		}
-	}
-	return total
-}
-
-func TestMaxWeightTrivial(t *testing.T) {
-	mate, total, err := MaxWeight([][]int64{})
-	if err != nil || total != 0 || len(mate) != 0 {
-		t.Errorf("empty graph: %v %v %v", mate, total, err)
-	}
-	mate, total, err = MaxWeight([][]int64{{0}})
-	if err != nil || total != 0 || mate[0] != Unmatched {
-		t.Errorf("single vertex: %v %v %v", mate, total, err)
-	}
-}
-
-func TestMaxWeightSingleEdge(t *testing.T) {
-	w := [][]int64{{0, 7}, {7, 0}}
-	mate, total, err := MaxWeight(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 7 || mate[0] != 1 || mate[1] != 0 {
-		t.Errorf("single edge: mate=%v total=%d", mate, total)
-	}
-}
-
-func TestMaxWeightTriangle(t *testing.T) {
-	// Triangle: only one edge can be used; pick the heaviest.
-	w := [][]int64{
-		{0, 5, 9},
-		{5, 0, 7},
-		{9, 7, 0},
-	}
-	mate, total, err := MaxWeight(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMatchingConsistent(t, mate)
-	if total != 9 {
-		t.Errorf("triangle total = %d, want 9", total)
-	}
-}
-
-func TestMaxWeightPrefersTwoEdges(t *testing.T) {
-	// Path a-b-c-d with weights 6, 10, 6: taking b-c alone (10) loses to
-	// a-b + c-d (12). Classic greedy trap.
-	w := make([][]int64, 4)
-	for i := range w {
-		w[i] = make([]int64, 4)
-	}
-	w[0][1], w[1][0] = 6, 6
-	w[1][2], w[2][1] = 10, 10
-	w[2][3], w[3][2] = 6, 6
-	mate, total, err := MaxWeight(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMatchingConsistent(t, mate)
-	if total != 12 {
-		t.Errorf("path total = %d, want 12", total)
-	}
-}
-
-func TestMaxWeightOddCycleNeedsBlossom(t *testing.T) {
-	// 5-cycle with a pendant: forces blossom formation in most runs.
-	// Vertices 0-4 in a cycle, 5 hangs off 0.
-	w := make([][]int64, 6)
-	for i := range w {
-		w[i] = make([]int64, 6)
-	}
-	set := func(i, j int, v int64) { w[i][j], w[j][i] = v, v }
-	set(0, 1, 8)
-	set(1, 2, 8)
-	set(2, 3, 8)
-	set(3, 4, 8)
-	set(4, 0, 8)
-	set(0, 5, 3)
-	mate, total, err := MaxWeight(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMatchingConsistent(t, mate)
-	// Best: 1-2, 3-4, 0-5 = 8+8+3 = 19.
-	if total != 19 {
-		t.Errorf("odd cycle total = %d, want 19", total)
-	}
-}
-
-func TestMaxWeightAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 400; trial++ {
-		n := 2 + rng.Intn(8) // 2..9
-		density := 0.3 + rng.Float64()*0.7
-		w := randSymmetric(rng, n, 50, density)
-		mate, total, err := MaxWeight(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkMatchingConsistent(t, mate)
-		if got := matchingWeight(w, mate); got != total {
-			t.Fatalf("trial %d: reported total %d != recomputed %d", trial, total, got)
-		}
-		want := bruteMaxWeight(w)
-		if total != want {
-			t.Fatalf("trial %d (n=%d): blossom total %d != brute force %d\nw=%v",
-				trial, n, total, want, w)
-		}
-	}
-}
-
-func TestMaxWeightValidation(t *testing.T) {
-	if _, _, err := MaxWeight([][]int64{{0, 1}}); err == nil {
+func TestMinCostPerfectValidation(t *testing.T) {
+	ctx := context.Background()
+	if _, _, err := MinCostPerfect(ctx, [][]int64{{0, 1}}); err == nil {
 		t.Error("ragged matrix accepted")
 	}
-	if _, _, err := MaxWeight([][]int64{{0, 1}, {2, 0}}); err != ErrAsymmetric {
+	if _, _, err := MinCostPerfect(ctx, [][]int64{{0, 1}, {2, 0}}); err != ErrAsymmetric {
 		t.Errorf("asymmetric matrix: err = %v, want ErrAsymmetric", err)
 	}
-	if _, _, err := MaxWeight([][]int64{{0, -1}, {-1, 0}}); err != ErrNegativeCost {
-		t.Errorf("negative weight: err = %v, want ErrNegativeCost", err)
+	if _, _, err := MinCostPerfect(ctx, [][]int64{{0, -1}, {-1, 0}}); err != ErrNegativeCost {
+		t.Errorf("negative cost: err = %v, want ErrNegativeCost", err)
 	}
 }
 
@@ -204,7 +44,7 @@ func TestMinCostPerfectSimple(t *testing.T) {
 		{10, 10, 0, 1},
 		{10, 10, 1, 0},
 	}
-	mate, total, err := MinCostPerfect(cost)
+	mate, total, err := MinCostPerfect(context.Background(), cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +56,7 @@ func TestMinCostPerfectSimple(t *testing.T) {
 
 func TestMinCostPerfectOddRejected(t *testing.T) {
 	cost := [][]int64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}}
-	if _, _, err := MinCostPerfect(cost); err != ErrOddVertexCount {
+	if _, _, err := MinCostPerfect(context.Background(), cost); err != ErrOddVertexCount {
 		t.Errorf("odd n: err = %v, want ErrOddVertexCount", err)
 	}
 	if _, _, err := ExactMinCostPerfect(cost); err != ErrOddVertexCount {
@@ -225,7 +65,7 @@ func TestMinCostPerfectOddRejected(t *testing.T) {
 }
 
 func TestMinCostPerfectEmpty(t *testing.T) {
-	mate, total, err := MinCostPerfect([][]int64{})
+	mate, total, err := MinCostPerfect(context.Background(), [][]int64{})
 	if err != nil || total != 0 || len(mate) != 0 {
 		t.Errorf("empty: %v %v %v", mate, total, err)
 	}
@@ -245,7 +85,7 @@ func TestMinCostPerfectAgainstExact(t *testing.T) {
 				cost[i][j], cost[j][i] = v, v
 			}
 		}
-		mate, total, err := MinCostPerfect(cost)
+		mate, total, err := MinCostPerfect(context.Background(), cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +122,7 @@ func TestMinCostPerfectLargeInstance(t *testing.T) {
 			cost[i][j], cost[j][i] = v, v
 		}
 	}
-	mate, total, err := MinCostPerfect(cost)
+	mate, total, err := MinCostPerfect(context.Background(), cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +178,8 @@ func TestMinCostPerfectDeterministic(t *testing.T) {
 		{9, 4, 0, 8},
 		{2, 7, 8, 0},
 	}
-	m1, t1, _ := MinCostPerfect(cost)
-	m2, t2, _ := MinCostPerfect(cost)
+	m1, t1, _ := MinCostPerfect(context.Background(), cost)
+	m2, t2, _ := MinCostPerfect(context.Background(), cost)
 	if t1 != t2 {
 		t.Errorf("nondeterministic totals %d vs %d", t1, t2)
 	}
@@ -372,7 +212,7 @@ func benchMinCost(b *testing.B, n int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MinCostPerfect(cost); err != nil {
+		if _, _, err := MinCostPerfect(context.Background(), cost); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -397,7 +237,7 @@ func TestMinCostPerfectVeryLarge(t *testing.T) {
 			cost[i][j], cost[j][i] = v, v
 		}
 	}
-	mate, total, err := MinCostPerfect(cost)
+	mate, total, err := MinCostPerfect(context.Background(), cost)
 	if err != nil {
 		t.Fatal(err)
 	}

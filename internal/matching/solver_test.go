@@ -77,7 +77,7 @@ func TestSolverColdMatchesMinCostPerfect(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkPerfect(t, cost, s.Mates())
-		_, want, err := MinCostPerfect(cost)
+		_, want, err := MinCostPerfect(context.Background(), cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestSolverWarmMatchesColdLarge(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkPerfect(t, cost, warm.Mates())
-		_, want, err := MinCostPerfect(cost)
+		_, want, err := MinCostPerfect(context.Background(), cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestSolverCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := MinCostPerfect(cost)
+	_, want, err := MinCostPerfect(context.Background(), cost)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,20 @@
 package mc
 
-// The batched, columnar Monte-Carlo engine. Instead of allocating a fresh
-// RNG and evaluating one topology at a time, workers pull blocks of trial
-// indices, draw the block's topologies into structure-of-arrays distance
-// columns held in a per-worker arena, convert whole columns to SNR with the
-// phy slice kernels, and only then reduce each trial to its gain sample.
-// Steady state is ~0 allocations per trial: the arena (columns + one
-// reusable *rand.Rand) is allocated once per worker per sweep.
+// The Monte-Carlo engine is batched and columnar. Workers pull blocks of
+// trial indices, draw the block's topologies into structure-of-arrays
+// distance columns held in a per-worker arena, convert whole columns to
+// SNR with the phy slice kernels, and only then reduce each trial to its
+// gain sample. Steady state is ~0 allocations per trial: the arena
+// (columns + one reusable *rand.Rand) is allocated once per worker per
+// sweep.
 //
 // Determinism contract (see DESIGN.md): trial i's stream is obtained by
 // re-seeding the worker's RNG to Seed + i*trialSeedStride, which by
-// construction of math/rand yields the exact same variates as the scalar
-// engine's rand.New(rand.NewSource(...)) per trial. Draw order inside a
-// trial matches the scalar closures call for call, and the phy slice
-// kernels are element-wise wrappers of the scalar functions, so the two
-// engines produce bit-identical samples for the same Config — pinned by
-// the oracle tests in batch_test.go and the golden tests in
-// internal/experiments.
+// construction of math/rand yields the exact same variates as a fresh
+// rand.New(rand.NewSource(...)) per trial. The phy slice kernels are
+// element-wise wrappers of the scalar functions, so every sample is
+// bit-identical to evaluating its trial alone with scalar arithmetic —
+// pinned by the oracle tests in batch_test.go.
 
 import (
 	"context"
@@ -49,12 +47,10 @@ type batchEval struct {
 	// the engine converts each to SNR in place with PathLoss.SNRAtSlice.
 	cols int
 	// draw consumes trial j's RNG stream (already seeded for the global
-	// trial index) and writes its distance columns at row j. It must
-	// consume variates in exactly the order the scalar engine's closure
-	// does.
+	// trial index) and writes its distance columns at row j.
 	draw func(cfg *Config, rng *rand.Rand, col *[maxCols][]float64, j int)
 	// gain reduces row j of the (now SNR-valued) columns to the trial's
-	// sample, via the same helper the scalar engine calls.
+	// sample.
 	gain func(cfg *Config, col *[maxCols][]float64, j int) float64
 }
 
@@ -75,9 +71,9 @@ func newArena(cols int) *arena {
 
 // runBlock processes trials [lo, hi): draw pass, column SNR pass, reduce
 // pass. done advances once per finished trial, so progress accounting
-// under cancellation agrees with the scalar engine (a partial final block
-// is simply a shorter one — never dropped or double-counted). A panic is
-// recovered and attributed to the trial being processed.
+// under cancellation is exact (a partial final block is simply a shorter
+// one — never dropped or double-counted). A panic is recovered and
+// attributed to the trial being processed.
 func (a *arena) runBlock(cfg *Config, ev batchEval, lo, hi int, out []float64, done *atomic.Int64) (err error) {
 	cur := lo
 	defer func() {
@@ -103,10 +99,16 @@ func (a *arena) runBlock(cfg *Config, ev batchEval, lo, hi int, out []float64, d
 	return nil
 }
 
-// runBatched is the block-dispatch twin of runParallel: same worker-pool
-// shape, same cancellation semantics, same per-trial seed derivation —
-// but trials travel in blocks and all per-trial scratch lives in the
-// worker's arena.
+// runBatched evaluates ev once per trial index across a worker pool,
+// collecting one sample per trial in order. Trials travel in blocks and
+// all per-trial scratch lives in the worker's arena. Each trial's RNG is
+// seeded from Config.Seed and the trial index, making the result
+// independent of scheduling — and of cancellation: ctx only decides how
+// many trials run, never which seed a trial gets. When ctx is cancelled
+// the pool stops dispatching, drains, and a *PartialError wrapping
+// ctx.Err() reports how many trials had already finished. A panic in any
+// trial is recovered, annotated with its stack, and surfaced as an error
+// instead of taking down the process.
 func runBatched(parent context.Context, cfg Config, ev batchEval) ([]float64, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -171,9 +173,9 @@ func runBatched(parent context.Context, cfg Config, ev batchEval) ([]float64, er
 	return out, nil
 }
 
-// twoReceiverEval is the batched form of the Fig. 6 / Fig. 11 two-receiver
-// sweeps: four distance columns (T1→R1, T2→R1, T1→R2, T2→R2, mirroring
-// crossSample's matrix layout) reduced through twoReceiverGain.
+// twoReceiverEval describes the Fig. 6 / Fig. 11 two-receiver sweeps: four
+// distance columns (T1→R1, T2→R1, T1→R2, T2→R2, the core.Cross matrix
+// layout) reduced through twoReceiverGain.
 func twoReceiverEval(tech Technique) batchEval {
 	return batchEval{
 		cols: 4,
@@ -195,9 +197,8 @@ func twoReceiverEval(tech Technique) batchEval {
 	}
 }
 
-// sameReceiverEval is the batched form of the Fig. 11 common-receiver
-// sweep: two transmitter→receiver distance columns reduced through
-// sameReceiverGain.
+// sameReceiverEval describes the Fig. 11 common-receiver sweep: two
+// transmitter→receiver distance columns reduced through sameReceiverGain.
 func sameReceiverEval(tech Technique) batchEval {
 	return batchEval{
 		cols: 2,

@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/topo"
 )
 
 // TestReseedMatchesFreshSource pins the mechanism the batched engine's
@@ -29,25 +31,53 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesScalarBitwise is the engine-level oracle: every sweep
-// family and technique must produce bit-identical samples through the
-// batched and scalar paths. Trials spans several full blocks plus a
-// partial one, so block edges are exercised.
+// scalarReference is the engine oracle: a sequential loop evaluating one
+// trial at a time on a freshly constructed RNG with scalar phy arithmetic
+// — no blocks, no arenas, no re-seeding, no column kernels.
+func scalarReference(cfg Config, trial func(cfg Config, rng *rand.Rand) float64) []float64 {
+	out := make([]float64, cfg.Trials)
+	for i := range out {
+		out[i] = trial(cfg, rand.New(rand.NewSource(cfg.Seed+int64(i)*trialSeedStride)))
+	}
+	return out
+}
+
+// crossSample draws one §3.2 topology and evaluates its RSS matrix.
+func crossSample(cfg Config, rng *rand.Rand) core.Cross {
+	pl := topo.PlaceTwoLinks(rng, cfg.Separation, cfg.Range)
+	var x core.Cross
+	x.S[0][0] = cfg.PathLoss.SNRAt(pl.T1.Dist(pl.R1))
+	x.S[0][1] = cfg.PathLoss.SNRAt(pl.T2.Dist(pl.R1))
+	x.S[1][0] = cfg.PathLoss.SNRAt(pl.T1.Dist(pl.R2))
+	x.S[1][1] = cfg.PathLoss.SNRAt(pl.T2.Dist(pl.R2))
+	return x
+}
+
+// sameReceiverSample draws two transmitters uniform around a receiver at
+// the origin and evaluates their SNRs.
+func sameReceiverSample(cfg Config, rng *rand.Rand) core.Pair {
+	rx := topo.Point{}
+	t1 := topo.UniformInDisc(rng, rx, cfg.Range)
+	t2 := topo.UniformInDisc(rng, rx, cfg.Range)
+	return core.Pair{
+		S1: cfg.PathLoss.SNRAt(rx.Dist(t1)),
+		S2: cfg.PathLoss.SNRAt(rx.Dist(t2)),
+	}
+}
+
+// TestBatchedMatchesScalarBitwise pins the engine to the scalar
+// reference: every sweep family and technique must produce bit-identical
+// samples. Trials spans several full blocks plus a partial one, so block
+// edges are exercised.
 func TestBatchedMatchesScalarBitwise(t *testing.T) {
-	const trials = 3*batchBlock + 37
-	run := func(name string, sweep func(Config) ([]float64, error)) {
+	cfg := testConfig(3*batchBlock + 37)
+	run := func(name string, sweep func(Config) ([]float64, error), trial func(Config, *rand.Rand) float64) {
 		t.Helper()
-		batchedCfg := testConfig(trials)
-		batched, err := sweep(batchedCfg)
+		batched, err := sweep(cfg)
 		if err != nil {
-			t.Fatalf("%s batched: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		scalarCfg := testConfig(trials)
-		scalarCfg.Scalar = true
-		scalar, err := sweep(scalarCfg)
-		if err != nil {
-			t.Fatalf("%s scalar: %v", name, err)
-		}
+		scalar := scalarReference(cfg, trial)
 		for i := range scalar {
 			if math.Float64bits(scalar[i]) != math.Float64bits(batched[i]) {
 				t.Fatalf("%s trial %d: scalar %v (%#x) != batched %v (%#x)",
@@ -57,17 +87,23 @@ func TestBatchedMatchesScalarBitwise(t *testing.T) {
 	}
 	run("TwoReceiverGains", func(cfg Config) ([]float64, error) {
 		return TwoReceiverGains(context.Background(), cfg)
+	}, func(cfg Config, rng *rand.Rand) float64 {
+		return twoReceiverGain(cfg, TechSIC, crossSample(cfg, rng))
 	})
 	for _, tech := range []Technique{TechSIC, TechPowerControl, TechMultirate, TechPacking} {
 		tech := tech
 		run("SameReceiverGains/"+tech.String(), func(cfg Config) ([]float64, error) {
 			return SameReceiverGains(context.Background(), cfg, tech)
+		}, func(cfg Config, rng *rand.Rand) float64 {
+			return sameReceiverGain(cfg, tech, sameReceiverSample(cfg, rng))
 		})
 	}
 	for _, tech := range []Technique{TechSIC, TechPacking} {
 		tech := tech
 		run("TwoReceiverTechniqueGains/"+tech.String(), func(cfg Config) ([]float64, error) {
 			return TwoReceiverTechniqueGains(context.Background(), cfg, tech)
+		}, func(cfg Config, rng *rand.Rand) float64 {
+			return twoReceiverGain(cfg, tech, crossSample(cfg, rng))
 		})
 	}
 }
@@ -90,8 +126,7 @@ func cancellingEval(cancel context.CancelFunc, after int64, reduced *atomic.Int6
 // TestInterruptedSweepCountersAgree is the satellite regression test for
 // the trial-accounting audit: cancel a sweep mid-batch and cross-check
 // that the runner-visible PartialError.Completed and Metrics.Trials agree
-// exactly — the partial block is neither dropped nor double-counted —
-// under both engines.
+// exactly — the partial block is neither dropped nor double-counted.
 func TestInterruptedSweepCountersAgree(t *testing.T) {
 	const trials = 64 * batchBlock
 
@@ -111,30 +146,6 @@ func TestInterruptedSweepCountersAgree(t *testing.T) {
 		}
 		if pe.Completed < batchBlock+3 || pe.Completed >= trials {
 			t.Errorf("Completed = %d, want a mid-sweep value in [%d, %d)", pe.Completed, batchBlock+3, trials)
-		}
-		if got := cfg.Metrics.Sweeps.Get(); got != 0 {
-			t.Errorf("mc_sweeps_total = %d after interruption, want 0", got)
-		}
-	})
-
-	t.Run("scalar", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		cfg := testConfig(trials)
-		cfg.Metrics = NewMetrics(obs.NewRegistry())
-		var evaluated atomic.Int64
-		_, err := runParallel(ctx, cfg, func(rng *rand.Rand) float64 {
-			if evaluated.Add(1) == 100 {
-				cancel()
-			}
-			return twoReceiverGain(cfg, TechSIC, crossSample(cfg, rng))
-		})
-		var pe *PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("err = %v, want *PartialError", err)
-		}
-		if got := cfg.Metrics.Trials.Get(); got != int64(pe.Completed) {
-			t.Errorf("mc_trials_total = %d, PartialError.Completed = %d; counters disagree", got, pe.Completed)
 		}
 		if got := cfg.Metrics.Sweeps.Get(); got != 0 {
 			t.Errorf("mc_sweeps_total = %d after interruption, want 0", got)
@@ -168,35 +179,11 @@ func TestCancelAfterFinalTrialIsNotPartial(t *testing.T) {
 			t.Errorf("mc_sweeps_total = %d, want 1", got)
 		}
 	})
-
-	t.Run("scalar", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		const trials = 8
-		cfg := testConfig(trials)
-		cfg.Scalar = true
-		cfg.Metrics = NewMetrics(obs.NewRegistry())
-		var evaluated atomic.Int64
-		out, err := runParallel(ctx, cfg, func(rng *rand.Rand) float64 {
-			if evaluated.Add(1) == trials {
-				cancel()
-			}
-			return twoReceiverGain(cfg, TechSIC, crossSample(cfg, rng))
-		})
-		if err != nil {
-			t.Fatalf("fully-completed sweep reported error: %v", err)
-		}
-		if len(out) != trials {
-			t.Fatalf("len(out) = %d, want %d", len(out), trials)
-		}
-		if got := cfg.Metrics.Sweeps.Get(); got != 1 {
-			t.Errorf("mc_sweeps_total = %d, want 1", got)
-		}
-	})
 }
 
-// TestBatchedTrialPanicSurfacesAsError mirrors the scalar engine's panic
-// contract: the error names the panicking trial and carries a stack.
+// TestBatchedTrialPanicSurfacesAsError pins the panic contract: a
+// panicking trial surfaces as an error that names the panic and carries a
+// stack, instead of taking down the process.
 func TestBatchedTrialPanicSurfacesAsError(t *testing.T) {
 	cfg := testConfig(2*batchBlock + 10)
 	ev := twoReceiverEval(TechSIC)

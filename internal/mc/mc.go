@@ -10,16 +10,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/phy"
-	"repro/internal/topo"
 )
 
 // Config parameterises a Monte-Carlo experiment.
@@ -45,12 +39,6 @@ type Config struct {
 	// through obs and feeds metrics only — it never influences trial
 	// seeding or results, so same-seed reproducibility is untouched.
 	Metrics *Metrics
-	// Scalar forces the legacy one-trial-at-a-time engine instead of the
-	// batched columnar one. Both derive every trial's RNG from Seed and
-	// the trial index identically and produce bit-identical samples (the
-	// golden tests in internal/experiments pin this); Scalar exists as an
-	// escape hatch and as the oracle the batched engine is tested against.
-	Scalar bool
 }
 
 // Metrics is the package's observability bundle. Construct with NewMetrics
@@ -58,7 +46,7 @@ type Config struct {
 type Metrics struct {
 	// Trials counts completed trials across all sweeps.
 	Trials *obs.Counter
-	// Sweeps counts runParallel invocations that ran to the end.
+	// Sweeps counts sweeps that ran to the end.
 	Sweeps *obs.Counter
 	// SweepSeconds is the wall-time distribution of whole sweeps.
 	SweepSeconds *obs.Histogram
@@ -120,22 +108,20 @@ func (c Config) validate() error {
 }
 
 // trialSeedStride spreads trial indices across the seed space. It is part
-// of the determinism contract: every engine derives trial i's RNG as
-// rand.NewSource(Seed + i*trialSeedStride) (or a reseed to the same
-// value), so scheduling, batching and cancellation can never change which
-// random stream a trial consumes.
+// of the determinism contract: trial i's RNG is seeded to
+// Seed + i*trialSeedStride, so scheduling, batching and cancellation can
+// never change which random stream a trial consumes.
 const trialSeedStride = 0x9e3779b9
 
-// finishSweep folds the shared end-of-sweep accounting for both engines:
-// completed trials always count (that is the whole point of the progress
-// accounting), sweep-level metrics only on full completion, and the
-// returned error is the worker failure, a *PartialError for a sweep the
-// context actually cut short, or nil. A sweep whose last trial finished
-// before anyone observed the cancellation is complete, not partial: its
-// samples are the same bytes an uncancelled run would produce, so it is
-// reported as a success instead of being dropped (the counters would
-// otherwise disagree — Metrics.Trials says Trials, the error says
-// "interrupted").
+// finishSweep folds the end-of-sweep accounting: completed trials always
+// count (that is the whole point of the progress accounting), sweep-level
+// metrics only on full completion, and the returned error is the worker
+// failure, a *PartialError for a sweep the context actually cut short, or
+// nil. A sweep whose last trial finished before anyone observed the
+// cancellation is complete, not partial: its samples are the same bytes an
+// uncancelled run would produce, so it is reported as a success instead of
+// being dropped (the counters would otherwise disagree — Metrics.Trials
+// says Trials, the error says "interrupted").
 func finishSweep(cfg Config, tm obs.Timer, completed int64, parent context.Context, workerErr error) error {
 	if m := cfg.Metrics; m != nil {
 		m.Trials.Add(completed)
@@ -157,83 +143,6 @@ func finishSweep(cfg Config, tm obs.Timer, completed int64, parent context.Conte
 	return nil
 }
 
-// runParallel evaluates f once per trial index across a worker pool,
-// collecting one sample per trial in order. Each trial gets its own RNG
-// seeded from Config.Seed and the trial index, making the result
-// independent of scheduling — and of cancellation: ctx only decides how
-// many trials run, never which seed a trial gets. When ctx is cancelled
-// the pool stops dispatching, drains, and a *PartialError wrapping
-// ctx.Err() reports how many trials had already finished. A panic in any
-// trial is recovered, annotated with its stack, and surfaced as an error
-// instead of taking down the process.
-func runParallel(parent context.Context, cfg Config, f func(rng *rand.Rand) float64) ([]float64, error) {
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	var tm obs.Timer
-	if cfg.Metrics != nil {
-		tm = obs.StartTimer()
-	}
-
-	var done atomic.Int64
-	out := make([]float64, cfg.Trials)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for i := 0; i < cfg.Trials; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicErr error
-	)
-	trial := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("mc: trial %d panicked: %v\n%s", i, r, debug.Stack())
-			}
-		}()
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*trialSeedStride))
-		out[i] = f(rng)
-		return nil
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := trial(i); err != nil {
-					panicMu.Lock()
-					if panicErr == nil {
-						panicErr = err
-					}
-					panicMu.Unlock()
-					cancel() // stop dispatching further trials
-					return
-				}
-				done.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if err := finishSweep(cfg, tm, done.Load(), parent, panicErr); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // TwoReceiverGains reproduces the Fig. 6 experiment: random two-link
 // topologies, SIC gain Z₋SIC/Z₊SIC per topology (1 when SIC is infeasible
 // or unneeded). Cancelling ctx aborts the sweep with ctx's error.
@@ -244,23 +153,7 @@ func TwoReceiverGains(ctx context.Context, cfg Config) ([]float64, error) {
 	if cfg.Separation <= 0 {
 		return nil, errors.New("mc: Separation must be positive for two-receiver experiments")
 	}
-	if cfg.Scalar {
-		return runParallel(ctx, cfg, func(rng *rand.Rand) float64 {
-			return twoReceiverGain(cfg, TechSIC, crossSample(cfg, rng))
-		})
-	}
 	return runBatched(ctx, cfg, twoReceiverEval(TechSIC))
-}
-
-// crossSample draws one §3.2 topology and evaluates its RSS matrix.
-func crossSample(cfg Config, rng *rand.Rand) core.Cross {
-	pl := topo.PlaceTwoLinks(rng, cfg.Separation, cfg.Range)
-	var x core.Cross
-	x.S[0][0] = cfg.PathLoss.SNRAt(pl.T1.Dist(pl.R1))
-	x.S[0][1] = cfg.PathLoss.SNRAt(pl.T2.Dist(pl.R1))
-	x.S[1][0] = cfg.PathLoss.SNRAt(pl.T1.Dist(pl.R2))
-	x.S[1][1] = cfg.PathLoss.SNRAt(pl.T2.Dist(pl.R2))
-	return x
 }
 
 // Technique labels the §5 mechanisms compared in Fig. 11.
@@ -301,25 +194,11 @@ func SameReceiverGains(ctx context.Context, cfg Config, tech Technique) ([]float
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Scalar {
-		return runParallel(ctx, cfg, func(rng *rand.Rand) float64 {
-			rx := topo.Point{}
-			t1 := topo.UniformInDisc(rng, rx, cfg.Range)
-			t2 := topo.UniformInDisc(rng, rx, cfg.Range)
-			p := core.Pair{
-				S1: cfg.PathLoss.SNRAt(rx.Dist(t1)),
-				S2: cfg.PathLoss.SNRAt(rx.Dist(t2)),
-			}
-			return sameReceiverGain(cfg, tech, p)
-		})
-	}
 	return runBatched(ctx, cfg, sameReceiverEval(tech))
 }
 
 // sameReceiverGain evaluates the chosen technique's gain over the serial
-// baseline for one drawn common-receiver pair. Both engines funnel through
-// this one function, so the per-trial arithmetic cannot drift between the
-// scalar and batched paths.
+// baseline for one drawn common-receiver pair.
 func sameReceiverGain(cfg Config, tech Technique, p core.Pair) float64 {
 	serial := p.SerialTime(cfg.Channel, cfg.PacketBits)
 	var t float64
@@ -344,8 +223,7 @@ func sameReceiverGain(cfg Config, tech Technique, p core.Pair) float64 {
 }
 
 // twoReceiverGain evaluates the per-topology gain of the technique in the
-// two-receiver scenario; like sameReceiverGain it is the single evaluation
-// path shared by the scalar and batched engines.
+// two-receiver scenario.
 func twoReceiverGain(cfg Config, tech Technique, x core.Cross) float64 {
 	switch tech {
 	case TechPacking:
@@ -370,11 +248,6 @@ func TwoReceiverTechniqueGains(ctx context.Context, cfg Config, tech Technique) 
 	}
 	if cfg.Separation <= 0 {
 		return nil, errors.New("mc: Separation must be positive for two-receiver experiments")
-	}
-	if cfg.Scalar {
-		return runParallel(ctx, cfg, func(rng *rand.Rand) float64 {
-			return twoReceiverGain(cfg, tech, crossSample(cfg, rng))
-		})
 	}
 	return runBatched(ctx, cfg, twoReceiverEval(tech))
 }

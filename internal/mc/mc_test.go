@@ -3,7 +3,6 @@ package mc
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -221,22 +220,6 @@ func TestCancellationDoesNotPerturbSeeding(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("trial %d differs after a cancelled run: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestTrialPanicSurfacesAsError(t *testing.T) {
-	cfg := testConfig(64)
-	_, err := runParallel(context.Background(), cfg, func(_ *rand.Rand) float64 {
-		panic("boom")
-	})
-	if err == nil {
-		t.Fatal("panicking trial returned nil error")
-	}
-	if !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "panicked") {
-		t.Errorf("panic error %q missing value or marker", err)
-	}
-	if !strings.Contains(err.Error(), "runParallel") && !strings.Contains(err.Error(), "goroutine") {
-		t.Errorf("panic error should carry a stack trace, got %q", err)
 	}
 }
 

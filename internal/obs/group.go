@@ -7,12 +7,11 @@ import (
 )
 
 // Group is a fixed set of named monotonic event counters registered as one
-// family, each event a labelled series: <name>{<labelKey>="<event>"}. It is
-// the registry-backed successor to stats.CounterSet — same fail-fast
-// fixed-name contract, same lock-free increments, and a byte-compatible
-// String/Snapshot so drain-time dumps that moved onto the registry render
-// exactly as before — but every event now also appears in /metrics,
-// sharing one snapshot path with the histograms.
+// family, each event a labelled series: <name>{<labelKey>="<event>"}. The
+// name set is fixed at construction so a typo in a hot path fails fast
+// instead of silently minting a new counter; increments are lock-free, and
+// every event appears in /metrics, sharing one snapshot path with the
+// histograms.
 type Group struct {
 	names    []string // sorted, for deterministic reporting
 	counters []*Counter
@@ -80,8 +79,8 @@ func (g *Group) Snapshot() map[string]int64 {
 }
 
 // String renders the counters as "name=value" pairs in sorted name order —
-// byte-compatible with stats.CounterSet.String, so the daemon's final
-// drain-time dump did not change shape when it moved onto the registry.
+// a stable format for the daemon's final drain-time dump and for
+// byte-identical comparison of deterministic runs.
 func (g *Group) String() string {
 	var b strings.Builder
 	for i, n := range g.names {

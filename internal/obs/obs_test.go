@@ -1,11 +1,10 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 func TestRegistryRender(t *testing.T) {
@@ -113,15 +112,11 @@ func TestGaugeAddConcurrent(t *testing.T) {
 	}
 }
 
-// TestGroupMatchesCounterSet pins the byte-compatibility contract: a
-// registry-backed Group and a stats.CounterSet fed the same operations
-// must render identical String() dumps and Snapshot() maps, so the
-// daemon's drain-time flush did not change when it moved onto the
-// registry.
+// TestGroupMatchesCounterSet pins the format of the daemon's drain-time
+// counter dump — "name=value" pairs in sorted name order — and checks
+// that Snapshot, Names and Get agree with it.
 func TestGroupMatchesCounterSet(t *testing.T) {
-	names := []string{"reports_ok", "drop_crc", "ingest_shed", "queries"}
-	g := NewRegistry().Group("events_total", "daemon events", "event", names...)
-	cs := stats.NewCounterSet(names...)
+	g := NewRegistry().Group("events_total", "daemon events", "event", "reports_ok", "drop_crc", "ingest_shed", "queries")
 	ops := []struct {
 		name  string
 		delta int64
@@ -130,22 +125,16 @@ func TestGroupMatchesCounterSet(t *testing.T) {
 	}
 	for _, op := range ops {
 		g.Add(op.name, op.delta)
-		cs.Add(op.name, op.delta)
 	}
-	if g.String() != cs.String() {
-		t.Errorf("String mismatch:\ngroup:      %s\ncounterset: %s", g, cs)
+	if got, want := g.String(), "drop_crc=2 ingest_shed=0 queries=40 reports_ok=6"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
-	gs, ss := g.Snapshot(), cs.Snapshot()
-	if len(gs) != len(ss) {
-		t.Fatalf("snapshot sizes differ: %d vs %d", len(gs), len(ss))
+	want := map[string]int64{"drop_crc": 2, "ingest_shed": 0, "queries": 40, "reports_ok": 6}
+	if got := g.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Snapshot() = %v, want %v", got, want)
 	}
-	for k, v := range ss {
-		if gs[k] != v {
-			t.Errorf("snapshot[%s] = %d, want %d", k, gs[k], v)
-		}
-	}
-	if got, want := g.Names(), cs.Names(); len(got) != len(want) {
-		t.Fatalf("names differ: %v vs %v", got, want)
+	if got, want := g.Names(), []string{"drop_crc", "ingest_shed", "queries", "reports_ok"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
 	}
 	if g.Get("queries") != 40 {
 		t.Errorf("Get(queries) = %d, want 40", g.Get("queries"))

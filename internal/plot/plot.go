@@ -142,7 +142,7 @@ func WriteGridCSV(w io.Writer, g *stats.Grid, xName, yName, vName string) error 
 // Rows are rendered into one reused buffer with strconv.AppendFloat, whose
 // 'g'/-1 form produces exactly the bytes of fmt's %g — this renderer used
 // to dominate Fig. 11's allocation profile, and the rewrite is pinned
-// byte-identical by the figure golden tests.
+// byte-identical by the committed results/ CSVs.
 func WriteSeriesCSV(w io.Writer, xName string, series ...Series) error {
 	// Union of x values: concatenate, sort, dedupe in place.
 	total := 0

@@ -283,8 +283,14 @@ func Run(ctx context.Context, runners []experiments.Runner, o Options) (*Report,
 
 // runWithRetries drives one figure to success, a terminal failure, or
 // cancellation. Ordinary errors retry with capped exponential backoff;
-// panics (deterministic bugs) and context errors do not.
+// panics (deterministic bugs) and context errors do not. A figure whose
+// suite is already cancelled is not started: a driver handed a dead ctx
+// may still race to completion, and the figure's status would then depend
+// on scheduling rather than on the cancellation.
 func runWithRetries(ctx context.Context, r experiments.Runner, opts Options) (experiments.Result, int, error) {
+	if err := ctx.Err(); err != nil {
+		return experiments.Result{}, 0, err
+	}
 	backoff := opts.RetryBackoff
 	attempts := 0
 	for {

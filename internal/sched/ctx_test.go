@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/phy"
 )
@@ -18,18 +19,21 @@ func randClients(rng *rand.Rand, n int) []Client {
 	return cs
 }
 
-// TestNewCtxMatchesNew: with a live context the ctx entry point reproduces
-// New exactly.
+// TestNewCtxMatchesNew: a live context that never fires arms every
+// cancellation probe, and must reproduce New under a background context
+// exactly.
 func TestNewCtxMatchesNew(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	rng := rand.New(rand.NewSource(11))
 	opts := Options{Channel: phy.Wifi20MHz, PacketBits: 12000}
 	for trial := 0; trial < 10; trial++ {
 		cs := randClients(rng, 3+rng.Intn(10))
-		a, err := New(cs, opts)
+		a, err := New(context.Background(), cs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewCtx(context.Background(), cs, opts)
+		b, err := New(ctx, cs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,11 +49,11 @@ func TestNewCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rng := rand.New(rand.NewSource(12))
-	_, err := NewCtx(ctx, randClients(rng, 30), Options{Channel: phy.Wifi20MHz, PacketBits: 12000})
+	_, err := New(ctx, randClients(rng, 30), Options{Channel: phy.Wifi20MHz, PacketBits: 12000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	_, err = GreedyCtx(ctx, randClients(rng, 30), Options{Channel: phy.Wifi20MHz, PacketBits: 12000})
+	_, err = Greedy(ctx, randClients(rng, 30), Options{Channel: phy.Wifi20MHz, PacketBits: 12000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("greedy: got %v, want context.Canceled", err)
 	}
@@ -90,10 +94,10 @@ func TestSerialSchedule(t *testing.T) {
 // the same boundary validation as New (it used to rely on callers).
 func TestGreedyValidatesOptions(t *testing.T) {
 	cs := []Client{{ID: "a", SNR: phy.FromDB(30)}, {ID: "b", SNR: phy.FromDB(15)}}
-	if _, err := Greedy(cs, Options{}); err == nil {
+	if _, err := Greedy(context.Background(), cs, Options{}); err == nil {
 		t.Fatal("Greedy accepted a zero Options")
 	}
-	if _, err := Greedy(cs, Options{Channel: phy.Wifi20MHz}); err == nil {
+	if _, err := Greedy(context.Background(), cs, Options{Channel: phy.Wifi20MHz}); err == nil {
 		t.Fatal("Greedy accepted zero PacketBits")
 	}
 }

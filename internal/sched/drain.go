@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -30,7 +31,8 @@ func (d DrainPlan) Gain() float64 {
 
 // Drain plans the multi-round drain of the given backlogs. backlogs[i] is
 // the packet count of clients[i]; clients with zero backlog are skipped.
-func Drain(clients []Client, backlogs []int, o Options) (DrainPlan, error) {
+// Cancelling ctx abandons the plan with ctx's error.
+func Drain(ctx context.Context, clients []Client, backlogs []int, o Options) (DrainPlan, error) {
 	if len(clients) != len(backlogs) {
 		return DrainPlan{}, fmt.Errorf("sched: %d clients but %d backlogs", len(clients), len(backlogs))
 	}
@@ -60,7 +62,7 @@ func Drain(clients []Client, backlogs []int, o Options) (DrainPlan, error) {
 		if len(round) == 0 {
 			break
 		}
-		s, err := New(round, o)
+		s, err := New(ctx, round, o)
 		if err != nil {
 			return DrainPlan{}, fmt.Errorf("sched: round %d: %w", len(plan.Rounds)+1, err)
 		}
@@ -77,7 +79,7 @@ func Drain(clients []Client, backlogs []int, o Options) (DrainPlan, error) {
 		if backlogs[i] == 0 {
 			continue
 		}
-		s, err := New([]Client{c}, o)
+		s, err := New(ctx, []Client{c}, o)
 		if err != nil {
 			return DrainPlan{}, err
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,20 +10,20 @@ import (
 
 func TestDrainValidation(t *testing.T) {
 	cs := clientsFromDB(30, 15)
-	if _, err := Drain(cs, []int{1}, opts); err == nil {
+	if _, err := Drain(context.Background(), cs, []int{1}, opts); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Drain(cs, []int{1, -1}, opts); err == nil {
+	if _, err := Drain(context.Background(), cs, []int{1, -1}, opts); err == nil {
 		t.Error("negative backlog accepted")
 	}
-	if _, err := Drain(cs, []int{0, 0}, opts); err == nil {
+	if _, err := Drain(context.Background(), cs, []int{0, 0}, opts); err == nil {
 		t.Error("empty drain accepted")
 	}
 }
 
 func TestDrainEqualBacklogs(t *testing.T) {
 	cs := clientsFromDB(30, 15, 28, 14)
-	plan, err := Drain(cs, []int{3, 3, 3, 3}, opts)
+	plan, err := Drain(context.Background(), cs, []int{3, 3, 3, 3}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestDrainEqualBacklogs(t *testing.T) {
 
 func TestDrainUnequalBacklogs(t *testing.T) {
 	cs := clientsFromDB(30, 15, 22)
-	plan, err := Drain(cs, []int{3, 1, 0}, opts)
+	plan, err := Drain(context.Background(), cs, []int{3, 1, 0}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDrainGainDegenerate(t *testing.T) {
 
 func TestDrainNeverWorseThanSerial(t *testing.T) {
 	cs := clientsFromDB(31, 17, 25, 12, 29, 15)
-	plan, err := Drain(cs, []int{4, 2, 3, 5, 1, 2}, opts)
+	plan, err := Drain(context.Background(), cs, []int{4, 2, 3, 5, 1, 2}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type PlanStats struct {
 // solo airtime and the full pair-cost table across queries, and holds the
 // matching engine so consecutive solves for the same client population
 // reuse buffers — and, when only SNRs drifted, warm-start from the
-// previous matching. The one-shot entry points (NewCtx, GreedyCtx) are
+// previous matching. The one-shot entry points (New, Greedy) are
 // thin wrappers over a throwaway Planner; the scheduling daemon keeps one
 // Planner per AP across queries.
 //
@@ -236,7 +236,7 @@ func (p *Planner) setDummy(clients []Client, i int) error {
 }
 
 // Plan computes the optimal schedule for clients, reusing every cache the
-// Planner holds. It is NewCtx's engine: same validation, same schedule,
+// Planner holds. It is New's engine: same validation, same schedule,
 // same errors — minus the per-query allocations, plus warm-started
 // matching when only SNRs moved since the previous query.
 func (p *Planner) Plan(ctx context.Context, clients []Client) (Schedule, error) {

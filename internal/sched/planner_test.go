@@ -51,8 +51,8 @@ func schedulesEquivalent(t *testing.T, got, want Schedule, tol float64) {
 
 // TestUnreachableClientRejectedEverywhere is the ladder-rung guard bugfix
 // test: a client with zero achievable rate must be rejected by every entry
-// point — previously GreedyCtx and Serial silently produced +Inf slot
-// times on the daemon's degraded rungs while only NewCtx errored.
+// point — previously Greedy and Serial silently produced +Inf slot
+// times on the daemon's degraded rungs while only New errored.
 func TestUnreachableClientRejectedEverywhere(t *testing.T) {
 	// A discrete rate table whose floor is 0 below the lowest threshold
 	// models a client too weak for any modulation.
@@ -74,10 +74,8 @@ func TestUnreachableClientRejectedEverywhere(t *testing.T) {
 		name string
 		run  func() (Schedule, error)
 	}{
-		{"New", func() (Schedule, error) { return New(clients, opts) }},
-		{"NewCtx", func() (Schedule, error) { return NewCtx(ctx, clients, opts) }},
-		{"Greedy", func() (Schedule, error) { return Greedy(clients, opts) }},
-		{"GreedyCtx", func() (Schedule, error) { return GreedyCtx(ctx, clients, opts) }},
+		{"New", func() (Schedule, error) { return New(ctx, clients, opts) }},
+		{"Greedy", func() (Schedule, error) { return Greedy(ctx, clients, opts) }},
 		{"Serial", func() (Schedule, error) { return Serial(clients, opts) }},
 		{"Planner.Plan", func() (Schedule, error) { return pl.Plan(ctx, clients) }},
 		{"Planner.PlanGreedy", func() (Schedule, error) { return pl.PlanGreedy(ctx, clients) }},
@@ -100,7 +98,7 @@ func TestUnreachableClientRejectedEverywhere(t *testing.T) {
 }
 
 // TestPlannerMatchesNewCtx: a reused Planner produces the same schedules
-// as fresh NewCtx calls across a drifting client population — including
+// as fresh New calls across a drifting client population — including
 // odd counts (dummy vertex) and full membership changes.
 func TestPlannerMatchesNewCtx(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -121,7 +119,7 @@ func TestPlannerMatchesNewCtx(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		want, err := NewCtx(ctx, clients, plannerOpts)
+		want, err := New(ctx, clients, plannerOpts)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -129,7 +127,7 @@ func TestPlannerMatchesNewCtx(t *testing.T) {
 		// matchings differ; slot-level equality would over-constrain ties,
 		// so compare totals and baseline.
 		if math.Abs(got.Total-want.Total) > 1e-6*want.Total+1e-12 {
-			t.Fatalf("round %d: planner total %v, NewCtx total %v", round, got.Total, want.Total)
+			t.Fatalf("round %d: planner total %v, New total %v", round, got.Total, want.Total)
 		}
 		if math.Abs(got.SerialBaseline-want.SerialBaseline) > 1e-12 {
 			t.Fatalf("round %d: baseline %v, want %v", round, got.SerialBaseline, want.SerialBaseline)
@@ -181,7 +179,7 @@ func TestPlanGreedyMatchesGreedyCtx(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := GreedyCtx(ctx, clients, plannerOpts)
+		want, err := Greedy(ctx, clients, plannerOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +208,7 @@ func TestPlannerTableReuseAfterCancelledPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := GreedyCtx(context.Background(), clients, plannerOpts)
+	want, err := Greedy(context.Background(), clients, plannerOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +217,7 @@ func TestPlannerTableReuseAfterCancelledPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewCtx(context.Background(), clients, plannerOpts)
+	ref, err := New(context.Background(), clients, plannerOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

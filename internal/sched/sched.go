@@ -203,38 +203,26 @@ func validateInputs(clients []Client, o Options) error {
 // It builds the complete graph of pairwise joint-transmission costs, adds a
 // dummy vertex when len(clients) is odd (edge cost = that client's solo
 // airtime), solves minimum-weight perfect matching, and translates the
-// matching back into transmission slots.
-func New(clients []Client, o Options) (Schedule, error) {
-	//lint:allow ctxfirst documented compatibility wrapper over NewCtx
-	return NewCtx(context.Background(), clients, o)
-}
-
-// NewCtx is New with cooperative cancellation: the O(n²) cost-matrix build
-// and the O(n³) blossom solve both abandon the instance promptly once ctx
-// is cancelled or its deadline passes, returning ctx's error. The live
+// matching back into transmission slots. The O(n²) cost-matrix build and
+// the O(n³) blossom solve both abandon the instance promptly once ctx is
+// cancelled or its deadline passes, returning ctx's error; the live
 // scheduling daemon uses this to bound how long an optimal solve may hold
 // the serving loop before degrading to a cheaper algorithm.
 //
-// NewCtx runs a throwaway Planner; callers issuing repeated queries over a
+// New runs a throwaway Planner; callers issuing repeated queries over a
 // mostly stable client set should hold a Planner instead, which memoizes
 // the cost table and warm-starts the matcher across queries.
-func NewCtx(ctx context.Context, clients []Client, o Options) (Schedule, error) {
+func New(ctx context.Context, clients []Client, o Options) (Schedule, error) {
 	return NewPlanner(o).Plan(ctx, clients)
 }
 
 // Greedy computes a schedule with best-pair-first greedy selection instead
 // of optimal matching. It exists as the ablation baseline quantifying what
 // Edmonds' algorithm buys (see DESIGN.md), and as the middle rung of the
-// serving daemon's degradation ladder.
-func Greedy(clients []Client, o Options) (Schedule, error) {
-	//lint:allow ctxfirst documented compatibility wrapper over GreedyCtx
-	return GreedyCtx(context.Background(), clients, o)
-}
-
-// GreedyCtx is Greedy with cooperative cancellation during the O(n²)
-// candidate build. Like NewCtx it runs a throwaway Planner; repeated
-// callers should hold a Planner and use PlanGreedy.
-func GreedyCtx(ctx context.Context, clients []Client, o Options) (Schedule, error) {
+// serving daemon's degradation ladder. ctx cancels the O(n²) candidate
+// build. Like New it runs a throwaway Planner; repeated callers should
+// hold a Planner and use PlanGreedy.
+func Greedy(ctx context.Context, clients []Client, o Options) (Schedule, error) {
 	return NewPlanner(o).PlanGreedy(ctx, clients)
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -70,25 +71,25 @@ func checkSchedule(t *testing.T, s Schedule, n int) {
 }
 
 func TestScheduleErrors(t *testing.T) {
-	if _, err := New(nil, opts); err != ErrNoClients {
+	if _, err := New(context.Background(), nil, opts); err != ErrNoClients {
 		t.Errorf("empty clients: err = %v, want ErrNoClients", err)
 	}
-	if _, err := New(clientsFromDB(20), Options{}); err == nil {
+	if _, err := New(context.Background(), clientsFromDB(20), Options{}); err == nil {
 		t.Error("missing channel accepted")
 	}
-	if _, err := New(clientsFromDB(20), Options{Channel: phy.Wifi20MHz}); err == nil {
+	if _, err := New(context.Background(), clientsFromDB(20), Options{Channel: phy.Wifi20MHz}); err == nil {
 		t.Error("missing packet bits accepted")
 	}
-	if _, err := New([]Client{{ID: "bad", SNR: -1}}, opts); err == nil {
+	if _, err := New(context.Background(), []Client{{ID: "bad", SNR: -1}}, opts); err == nil {
 		t.Error("negative SNR accepted")
 	}
-	if _, err := New([]Client{{ID: "bad", SNR: math.NaN()}}, opts); err == nil {
+	if _, err := New(context.Background(), []Client{{ID: "bad", SNR: math.NaN()}}, opts); err == nil {
 		t.Error("NaN SNR accepted")
 	}
 }
 
 func TestScheduleSingleClient(t *testing.T) {
-	s, err := New(clientsFromDB(20), opts)
+	s, err := New(context.Background(), clientsFromDB(20), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestScheduleSingleClient(t *testing.T) {
 
 func TestScheduleTwoClients(t *testing.T) {
 	// A well-matched pair: strong ≈ 2× weak in dB.
-	s, err := New(clientsFromDB(30, 15), opts)
+	s, err := New(context.Background(), clientsFromDB(30, 15), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestSchedulePathologicalPairFallsBackToSerial(t *testing.T) {
 	// collapses toward 0 dB while both solo rates are excellent, so
 	// concurrency is far worse than serialising. The slot must be
 	// ModeSerial and the gain exactly 1.
-	s, err := New(clientsFromDB(30, 29), opts)
+	s, err := New(context.Background(), clientsFromDB(30, 29), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestSchedulePathologicalPairFallsBackToSerial(t *testing.T) {
 }
 
 func TestScheduleOddCount(t *testing.T) {
-	s, err := New(clientsFromDB(30, 15, 22), opts)
+	s, err := New(context.Background(), clientsFromDB(30, 15, 22), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestScheduleOddCount(t *testing.T) {
 func TestScheduleFourClientIllustration(t *testing.T) {
 	// SNRs chosen so client airtimes roughly follow the 1:2:4:8 pattern.
 	cs := clientsFromDB(36, 24, 14, 8)
-	s, err := New(cs, opts)
+	s, err := New(context.Background(), cs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +180,13 @@ func TestScheduleFourClientIllustration(t *testing.T) {
 func TestPowerControlImprovesSchedule(t *testing.T) {
 	// Clients with similar SNRs: power control should strictly reduce total.
 	cs := clientsFromDB(25, 24, 23, 22)
-	plain, err := New(cs, opts)
+	plain, err := New(context.Background(), cs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pc := opts
 	pc.PowerControl = true
-	withPC, err := New(cs, pc)
+	withPC, err := New(context.Background(), cs, pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +207,10 @@ func TestPowerControlImprovesSchedule(t *testing.T) {
 
 func TestMultirateImprovesSchedule(t *testing.T) {
 	cs := clientsFromDB(25, 24, 23, 22)
-	plain, _ := New(cs, opts)
+	plain, _ := New(context.Background(), cs, opts)
 	mr := opts
 	mr.Multirate = true
-	withMR, err := New(cs, mr)
+	withMR, err := New(context.Background(), cs, mr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestScheduleNeverWorseThanBaseline(t *testing.T) {
 			{Channel: opts.Channel, PacketBits: opts.PacketBits, Multirate: true},
 			{Channel: opts.Channel, PacketBits: opts.PacketBits, PowerControl: true, Multirate: true},
 		} {
-			s, err := New(cs, o)
+			s, err := New(context.Background(), cs, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,11 +254,11 @@ func TestOptimalNeverWorseThanGreedy(t *testing.T) {
 		for i := range cs {
 			cs[i] = Client{ID: fmt.Sprintf("c%d", i), SNR: phy.FromDB(2 + rng.Float64()*43)}
 		}
-		opt, err := New(cs, opts)
+		opt, err := New(context.Background(), cs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gr, err := Greedy(cs, opts)
+		gr, err := Greedy(context.Background(), cs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +280,7 @@ func TestOptimalNeverWorseThanGreedy(t *testing.T) {
 func TestScheduleWithDiscreteRates(t *testing.T) {
 	o := opts
 	o.Rate = rates.Dot11g.RateFunc()
-	s, err := New(clientsFromDB(30, 15, 25, 12), o)
+	s, err := New(context.Background(), clientsFromDB(30, 15, 25, 12), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestScheduleDiscreteRateUnreachableClient(t *testing.T) {
 	o := opts
 	o.Rate = rates.Dot11g.RateFunc()
 	// 0 dB cannot sustain even 6 Mbps → solo time infinite → error.
-	if _, err := New(clientsFromDB(30, 0), o); err == nil {
+	if _, err := New(context.Background(), clientsFromDB(30, 0), o); err == nil {
 		t.Error("unreachable client accepted under discrete rates")
 	}
 }
@@ -315,14 +316,14 @@ func TestGainOfEmptyTotal(t *testing.T) {
 
 func TestResidualAwareScheduling(t *testing.T) {
 	cs := clientsFromDB(30, 15, 28, 14)
-	base, err := New(cs, opts)
+	base, err := New(context.Background(), cs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// β=0 must be byte-identical to the default path.
 	zero := opts
 	zero.Residual = 0
-	same, err := New(cs, zero)
+	same, err := New(context.Background(), cs, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestResidualAwareScheduling(t *testing.T) {
 	for _, beta := range []float64{1e-4, 1e-3, 1e-2, 0.1} {
 		o := opts
 		o.Residual = beta
-		s, err := New(cs, o)
+		s, err := New(context.Background(), cs, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func TestResidualAwareScheduling(t *testing.T) {
 	// At β=1 (no cancellation at all) pairing cannot beat serialising.
 	o := opts
 	o.Residual = 1
-	s, err := New(cs, o)
+	s, err := New(context.Background(), cs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestResidualAwareWithPowerControl(t *testing.T) {
 	o := opts
 	o.PowerControl = true
 	o.Residual = 0.01
-	s, err := New(cs, o)
+	s, err := New(context.Background(), cs, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -70,7 +71,7 @@ func TestTripleBeatsPairingOnChainedRidge(t *testing.T) {
 	if len(grouped.Slots) != 1 || len(grouped.Slots[0].Members) != 3 {
 		t.Fatalf("expected one triple slot, got %+v", grouped.Slots)
 	}
-	paired, err := New(clients, opts)
+	paired, err := New(context.Background(), clients, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestGroupsRandomInstances(t *testing.T) {
 		if grouped.Total > grouped.SerialBaseline*(1+1e-9) {
 			t.Fatalf("trial %d: grouped %v worse than serial %v", trial, grouped.Total, grouped.SerialBaseline)
 		}
-		paired, err := New(clients, opts)
+		paired, err := New(context.Background(), clients, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

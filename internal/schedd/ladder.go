@@ -14,9 +14,9 @@ import (
 type Level int
 
 const (
-	// LevelBlossom: optimal minimum-weight perfect matching (sched.NewCtx).
+	// LevelBlossom: optimal minimum-weight perfect matching (sched.New).
 	LevelBlossom Level = iota
-	// LevelGreedy: best-pair-first greedy pairing (sched.GreedyCtx).
+	// LevelGreedy: best-pair-first greedy pairing (sched.Greedy).
 	LevelGreedy
 	// LevelSerial: everyone transmits alone; O(n), cannot stall.
 	LevelSerial
@@ -101,13 +101,13 @@ func runLadder(ctx context.Context, clients []sched.Client, opts sched.Options, 
 			if pl != nil {
 				return pl.Plan(c, clients)
 			}
-			return sched.NewCtx(c, clients, opts)
+			return sched.New(c, clients, opts)
 		}},
 		{LevelGreedy, b.Greedy, func(c context.Context) (sched.Schedule, error) {
 			if pl != nil {
 				return pl.PlanGreedy(c, clients)
 			}
-			return sched.GreedyCtx(c, clients, opts)
+			return sched.Greedy(c, clients, opts)
 		}},
 	}
 	for _, r := range rungs {

@@ -523,13 +523,10 @@ func (s *Server) ingest(pkt []byte) {
 	}
 	now := s.cfg.now()
 	switch s.table.upsert(r, now) {
-	case upsertOK:
-		s.counters.Inc("reports_ok")
 	case upsertDuplicate:
 		s.counters.Inc("drop_duplicate")
 		return
 	case upsertEvicted:
-		s.counters.Inc("reports_ok")
 		s.counters.Inc("table_evictions")
 	case upsertAPsFull:
 		s.counters.Inc("drop_aps_full")
@@ -556,6 +553,9 @@ func (s *Server) ingest(pkt []byte) {
 	case session.OutcomeRoam:
 		s.sessionEvents.Inc("roam")
 	}
+	// Counted last, so whoever sees reports_ok tick also sees the report's
+	// session event and table effects.
+	s.counters.Inc("reports_ok")
 }
 
 // acceptLoop accepts query connections.

@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/mac"
-	"repro/internal/matching"
 	"repro/internal/phy"
 	"repro/internal/rates"
 	"repro/internal/sched"
@@ -163,19 +162,12 @@ func NewSchedPlanner(o SchedOptions) *SchedPlanner { return sched.NewPlanner(o) 
 // NewSchedule computes the optimal SIC-aware schedule via minimum-weight
 // perfect matching.
 func NewSchedule(clients []SchedClient, o SchedOptions) (Schedule, error) {
-	return sched.New(clients, o)
+	return sched.New(context.Background(), clients, o)
 }
 
 // GreedySchedule is the best-pair-first heuristic (the ablation baseline).
 func GreedySchedule(clients []SchedClient, o SchedOptions) (Schedule, error) {
-	return sched.Greedy(clients, o)
-}
-
-// MinCostPerfectMatching exposes the underlying Edmonds blossom solver:
-// minimum-cost perfect matching on a complete graph given a symmetric
-// non-negative cost matrix.
-func MinCostPerfectMatching(cost [][]int64) (mate []int, total int64, err error) {
-	return matching.MinCostPerfect(cost)
+	return sched.Greedy(context.Background(), clients, o)
 }
 
 // ---- Discrete-event MAC simulation ------------------------------------
@@ -282,7 +274,7 @@ type DrainPlan = sched.DrainPlan
 // belongs to clients[i]. Its Total equals the simulator's data airtime for
 // the same scenario (see the cross-validation tests).
 func PlanDrain(clients []SchedClient, backlogs []int, o SchedOptions) (DrainPlan, error) {
-	return sched.Drain(clients, backlogs, o)
+	return sched.Drain(context.Background(), clients, backlogs, o)
 }
 
 // DownloadClient is one client of the §4.1 enterprise download scenario.

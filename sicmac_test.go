@@ -66,22 +66,6 @@ func TestPublicScheduler(t *testing.T) {
 	}
 }
 
-func TestPublicMatching(t *testing.T) {
-	cost := [][]int64{
-		{0, 1, 10, 10},
-		{1, 0, 10, 10},
-		{10, 10, 0, 1},
-		{10, 10, 1, 0},
-	}
-	mate, total, err := sicmac.MinCostPerfectMatching(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 2 || mate[0] != 1 || mate[2] != 3 {
-		t.Errorf("mate=%v total=%d", mate, total)
-	}
-}
-
 func TestPublicSimulation(t *testing.T) {
 	stations := []sicmac.Station{
 		{ID: 1, SNR: sicmac.FromDB(30), Backlog: 2},
