@@ -453,7 +453,7 @@ func (s *Server) queryWithHedge(ctx context.Context, primary, hedge int, ap uint
 // an empty success — the shard is healthy, it just has nothing for this
 // AP — while overload answers are retried after the shard's own hint.
 func (s *Server) queryShard(ctx context.Context, idx int, ap uint32) (*shardReply, error) {
-	addr := s.shards[idx].addr.TCP
+	sh := s.shards[idx]
 	line := fmt.Sprintf("SCHED %d\n", ap)
 	backoff := s.cfg.RetryBackoff
 	var lastErr error
@@ -468,7 +468,7 @@ func (s *Server) queryShard(ctx context.Context, idx int, ap uint32) (*shardRepl
 			}
 		}
 		var reply shardReply
-		if err := s.roundTrip(ctx, addr, line, s.cfg.ShardDeadline, &reply); err != nil {
+		if err := s.roundTrip(ctx, sh, line, s.cfg.ShardDeadline, &reply); err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
 				break
@@ -492,7 +492,7 @@ func (s *Server) queryShard(ctx context.Context, idx int, ap uint32) (*shardRepl
 	if lastErr == nil {
 		lastErr = ctx.Err()
 	}
-	return nil, fmt.Errorf("gateway: shard %s: %w", s.shards[idx].addr.Name, lastErr)
+	return nil, fmt.Errorf("gateway: shard %s: %w", sh.addr.Name, lastErr)
 }
 
 // merge folds the fan-out parts into one schedule. Parts are processed in

@@ -209,6 +209,14 @@ type shardState struct {
 	// shard restarted and (without a data dir) lost its sessions.
 	instance string
 
+	// poolMu guards the idle query-connection pool (conn.go) and nothing
+	// else, so no I/O ever runs under it: idle is a LIFO stack of at most
+	// MaxInflight connections, and poolClosed is set once Shutdown has
+	// closed them.
+	poolMu     sync.Mutex
+	idle       []*shardConn
+	poolClosed bool
+
 	up           *obs.Gauge
 	probes       *obs.Counter
 	probeFails   *obs.Counter
@@ -319,6 +327,8 @@ func tierEventNames() []string {
 		"restarts",       // live shards seen restarting (instance changed)
 		"epoch_push",     // EPOCH pushes acknowledged
 		"epoch_push_err", // EPOCH pushes that failed
+		"shard_dial",     // query connections opened to shards
+		"shard_redial",   // pooled connections the shard had closed, replaced by a fresh dial in the same attempt
 	}
 }
 
@@ -515,7 +525,8 @@ func (s *Server) Stations() int {
 }
 
 // Shutdown stops ingest, probing and query serving, draining in-flight
-// queries and rebalances until ctx expires.
+// queries and rebalances until ctx expires, then closes the idle shard
+// connections.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closing.Swap(true) {
 		return errors.New("gateway: already shut down")
@@ -541,10 +552,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.rebWG.Wait()
 		close(drained)
 	}()
+	var err error
 	select {
 	case <-drained:
-		s.cancelBase()
-		return nil
 	case <-ctx.Done():
 		s.cancelBase()
 		s.connMu.Lock()
@@ -553,6 +563,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.connMu.Unlock()
 		<-drained
-		return fmt.Errorf("gateway: drain cut short: %w", ctx.Err())
+		err = fmt.Errorf("gateway: drain cut short: %w", ctx.Err())
 	}
+	s.cancelBase()
+	// A hedge loser may still be mid round trip; it finds the pool closed
+	// and closes its connection on return.
+	for _, sh := range s.shards {
+		sh.closePool()
+	}
+	return err
 }

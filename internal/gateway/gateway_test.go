@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,6 +286,9 @@ func TestGatewayFiltersJunkBeforeShards(t *testing.T) {
 type deafProxy struct {
 	ln    net.Listener
 	chaos *emu.WireChaos
+	// accepted counts client connections as they arrive; closed counts
+	// them again once either end hangs up.
+	accepted, closed atomic.Int64
 }
 
 func startDeafProxy(t *testing.T, target string, chaos *emu.WireChaos) *deafProxy {
@@ -296,20 +300,23 @@ func startDeafProxy(t *testing.T, target string, chaos *emu.WireChaos) *deafProx
 	p := &deafProxy{ln: ln, chaos: chaos}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
-		var seq uint32
+		var seq atomic.Uint32
 		for {
 			client, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			p.accepted.Add(1)
 			server, err := net.Dial("tcp", target)
 			if err != nil {
 				client.Close()
+				p.closed.Add(1)
 				continue
 			}
 			go func() {
 				defer server.Close()
 				io.Copy(server, client) // inbound direction: the shard hears
+				p.closed.Add(1)
 			}()
 			go func() {
 				defer client.Close()
@@ -319,8 +326,7 @@ func startDeafProxy(t *testing.T, target string, chaos *emu.WireChaos) *deafProx
 					if err != nil {
 						return
 					}
-					seq++
-					if p.chaos.DropDir(emu.DirOut, 0, seq) {
+					if p.chaos.DropDir(emu.DirOut, 0, seq.Add(1)) {
 						continue // the reply vanishes
 					}
 					if _, err := client.Write(buf[:n]); err != nil {
@@ -342,13 +348,12 @@ func TestGatewayHedgeMasksOneWayDeafShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var proxied string
+	var p *deafProxy
 	tr := startTier(t, 3, func(cfg *Config) {
 		// Find shard-b (ring index 1) and interpose the deaf proxy on its
 		// query listener only; its UDP ingest stays direct so it holds the
 		// reports it will never manage to serve.
-		proxied = cfg.Shards[1].TCP
-		p := startDeafProxy(t, proxied, chaos)
+		p = startDeafProxy(t, cfg.Shards[1].TCP, chaos)
 		cfg.Shards[1].TCP = p.ln.Addr().String()
 		cfg.ShardDeadline = 100 * time.Millisecond
 		cfg.HedgeDelay = 15 * time.Millisecond
@@ -407,6 +412,16 @@ func TestGatewayHedgeMasksOneWayDeafShard(t *testing.T) {
 		t.Fatal("the partition never swallowed a reply; the shard was not actually deaf")
 	}
 
+	// Every connection whose reply vanished timed out, so the gateway must
+	// close it rather than pool it: off this proxy a reply may be late
+	// rather than lost, and a pooled connection would hand it to whichever
+	// query used the connection next.
+	waitFor(t, 5*time.Second, "the gateway to close the connections whose replies vanished", func() bool {
+		n := p.accepted.Load()
+		return n > 0 && p.closed.Load() == n
+	})
+	healedAt := p.accepted.Load()
+
 	// Heal the partition: the same primary answers again and the tier
 	// serves clean.
 	chaos.ClearPartition()
@@ -415,6 +430,9 @@ func TestGatewayHedgeMasksOneWayDeafShard(t *testing.T) {
 		gwQuery(t, tr.gw, "SCHED 3", &healed)
 		return !healed.Degraded && len(slotStations(healed)) == len(stations)
 	})
+	if p.accepted.Load() <= healedAt {
+		t.Fatal("the clean answer came over a connection from the partition; a timed-out connection was pooled")
+	}
 }
 
 // TestGatewayKillShardDegradeRecover: kill -9 a shard mid-run. Queries

@@ -1,11 +1,8 @@
 package gateway
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net"
 	"time"
 )
 
@@ -39,53 +36,16 @@ func (s *Server) probeLoop(sh *shardState) {
 func (s *Server) probeOnce(ctx context.Context, sh *shardState) {
 	s.tierEvents.Inc("probes")
 	sh.probes.Inc()
-	health, err := s.probeHealth(ctx, sh.addr.TCP)
+	var health shardHealth
+	err := s.roundTrip(ctx, sh, "HEALTH\n", s.cfg.ProbeTimeout, &health)
+	if err == nil && health.Instance == "" {
+		err = fmt.Errorf("gateway: shard %s HEALTH reply carries no instance nonce", sh.addr.Name)
+	}
 	if err != nil {
 		s.tierEvents.Inc("probe_fail")
 		sh.probeFails.Inc()
 	}
 	s.applyProbe(ctx, sh, health, err == nil)
-}
-
-// probeHealth dials the shard and reads one HEALTH reply under the probe
-// timeout.
-func (s *Server) probeHealth(ctx context.Context, addr string) (shardHealth, error) {
-	pctx, cancel := context.WithTimeout(ctx, s.cfg.ProbeTimeout)
-	defer cancel()
-	var d net.Dialer
-	conn, err := d.DialContext(pctx, "tcp", addr)
-	if err != nil {
-		return shardHealth{}, err
-	}
-	defer conn.Close()
-	// Arm unconditionally: if the context somehow carries no deadline the
-	// probe must still never park on a wedged shard.
-	dl, ok := pctx.Deadline()
-	if !ok {
-		dl = s.cfg.now().Add(s.cfg.ProbeTimeout)
-	}
-	if err := conn.SetDeadline(dl); err != nil {
-		return shardHealth{}, err
-	}
-	if _, err := conn.Write([]byte("HEALTH\n")); err != nil {
-		return shardHealth{}, err
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<16)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return shardHealth{}, err
-		}
-		return shardHealth{}, fmt.Errorf("gateway: %s closed before replying", addr)
-	}
-	var h shardHealth
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return shardHealth{}, err
-	}
-	if h.Instance == "" {
-		return shardHealth{}, fmt.Errorf("gateway: %s HEALTH reply carries no instance nonce", addr)
-	}
-	return h, nil
 }
 
 // applyProbe advances one shard's state machine under the ring lock.
@@ -206,44 +166,9 @@ func (s *Server) pushEpochAll(ctx context.Context) {
 // Best-effort: a failed push is counted and retried implicitly by the next
 // probe's stale-epoch check.
 func (s *Server) pushEpoch(ctx context.Context, sh *shardState, epoch uint64) {
-	if err := s.roundTrip(ctx, sh.addr.TCP, fmt.Sprintf("EPOCH %d\n", epoch), s.cfg.ProbeTimeout, nil); err != nil {
+	if err := s.roundTrip(ctx, sh, fmt.Sprintf("EPOCH %d\n", epoch), s.cfg.ProbeTimeout, nil); err != nil {
 		s.tierEvents.Inc("epoch_push_err")
 		return
 	}
 	s.tierEvents.Inc("epoch_push")
-}
-
-// roundTrip dials addr, writes one command line and decodes the one-line
-// JSON reply into out (discarded when out is nil), all under timeout.
-func (s *Server) roundTrip(ctx context.Context, addr, line string, timeout time.Duration, out any) error {
-	rctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var d net.Dialer
-	conn, err := d.DialContext(rctx, "tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	dl, ok := rctx.Deadline()
-	if !ok {
-		dl = s.cfg.now().Add(timeout)
-	}
-	if err := conn.SetDeadline(dl); err != nil {
-		return err
-	}
-	if _, err := conn.Write([]byte(line)); err != nil {
-		return err
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("gateway: %s closed before replying", addr)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(sc.Bytes(), out)
 }

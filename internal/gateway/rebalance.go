@@ -120,7 +120,7 @@ func (s *Server) moveStation(ctx context.Context, mv move) {
 		Error    string `json:"error"`
 	}
 	line := fmt.Sprintf("MOVE %d %s\n", mv.station, s.shards[mv.dst].addr.TCP)
-	if err := s.roundTrip(ctx, s.shards[mv.src].addr.TCP, line, s.cfg.MoveTimeout, &resp); err != nil {
+	if err := s.roundTrip(ctx, s.shards[mv.src], line, s.cfg.MoveTimeout, &resp); err != nil {
 		s.rebalanceEvents.Inc("move_err")
 		return
 	}
