@@ -108,13 +108,15 @@ func randGain(rng *rand.Rand, snr float64) complex128 {
 	return cmplx.Rect(math.Sqrt(snr), theta)
 }
 
-// nearest returns the index of the constellation point closest to y/h.
+// nearest returns the index of the constellation point c minimising
+// |y − h·c|, the first such index on an exact tie. It compares squared
+// distances, which order the points as the distances do.
 func nearest(y, h complex128, consts []complex128) int {
 	best, bestD := 0, math.Inf(1)
 	for i, c := range consts {
-		d := cmplx.Abs(y - h*c)
-		if dd := d * d; dd < bestD {
-			best, bestD = i, dd
+		e := y - h*c
+		if d := real(e)*real(e) + imag(e)*imag(e); d < bestD {
+			best, bestD = i, d
 		}
 	}
 	return best

@@ -3,6 +3,7 @@ package baseband
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 )
 
@@ -222,6 +223,60 @@ func TestEstimateChannel(t *testing.T) {
 	}
 	if got := estimateChannel(nil, nil); got != 0 {
 		t.Errorf("empty estimate = %v, want 0", got)
+	}
+}
+
+// nearestRef is nearest's definition, computed the slow way: the first
+// index minimising |y − h·c| as cmplx.Abs measures it.
+func nearestRef(y, h complex128, consts []complex128) int {
+	best := 0
+	for i, c := range consts {
+		if cmplx.Abs(y-h*c) < cmplx.Abs(y-h*consts[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+func TestNearestMatchesAbsReference(t *testing.T) {
+	s := math.Sqrt(0.5)
+	// Exact ties: the first index must win, as it does in nearestRef.
+	// Scaling h by a power of two or by i keeps every distance exact.
+	ties := []struct {
+		name string
+		m    Modulation
+		y, h complex128
+		want int
+	}{
+		{"bpsk origin", BPSK, 0, 1, 0},
+		{"qpsk origin", QPSK, 0, complex(0, 2), 0},
+		{"qpsk edge", QPSK, complex(s, 0), 1, 0}, // (s,s) vs (s,−s)
+		{"16qam origin", QAM16, 0, -2, 5},        // the four inner points
+	}
+	for _, tc := range ties {
+		consts := tc.m.Constellation()
+		if ref := nearestRef(tc.y, tc.h, consts); ref != tc.want {
+			t.Fatalf("%s: reference picks %d, want %d", tc.name, ref, tc.want)
+		}
+		if got := nearest(tc.y, tc.h, consts); got != tc.want {
+			t.Errorf("%s: nearest = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for _, m := range []Modulation{BPSK, QPSK, QAM16} {
+		consts := m.Constellation()
+		for k := 0; k < 5000; k++ {
+			h := randGain(rng, math.Exp(4*rng.NormFloat64()))
+			// Half the points are a noisy symbol, half anywhere.
+			y := complex(4*rng.NormFloat64(), 4*rng.NormFloat64()) * h
+			if k%2 == 0 {
+				y = h*consts[rng.Intn(len(consts))] + awgn(rng)
+			}
+			if got, want := nearest(y, h, consts), nearestRef(y, h, consts); got != want {
+				t.Fatalf("%v: nearest(%v, %v) = %d, reference %d", m, y, h, got, want)
+			}
+		}
 	}
 }
 

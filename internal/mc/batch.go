@@ -8,13 +8,14 @@ package mc
 // (columns + one reusable *rand.Rand) is allocated once per worker per
 // sweep.
 //
-// Determinism contract (see DESIGN.md): trial i's stream is obtained by
-// re-seeding the worker's RNG to Seed + i*trialSeedStride, which by
-// construction of math/rand yields the exact same variates as a fresh
-// rand.New(rand.NewSource(...)) per trial. The phy slice kernels are
-// element-wise wrappers of the scalar functions, so every sample is
-// bit-identical to evaluating its trial alone with scalar arithmetic —
-// pinned by the oracle tests in batch_test.go.
+// Determinism contract (see DESIGN.md): trial i reads the same stream as
+// rand.NewSource(Seed + i*trialSeedStride). The worker's RNG runs on a
+// trialSource (source.go), which emits math/rand's stream but builds its
+// state lazily, so reseeding per trial costs O(draws), not O(607). The
+// phy slice kernels are element-wise wrappers of the scalar functions, so
+// every sample is bit-identical to evaluating its trial alone with scalar
+// arithmetic — pinned by the oracle tests in batch_test.go and
+// source_test.go.
 
 import (
 	"context"
@@ -54,15 +55,15 @@ type batchEval struct {
 	gain func(cfg *Config, col *[maxCols][]float64, j int) float64
 }
 
-// arena is the per-worker reusable scratch: one RNG re-seeded per trial
-// and the structure-of-arrays columns for one block.
+// arena is the per-worker reusable scratch: one RNG on a trialSource,
+// reseeded per trial, and the structure-of-arrays columns for one block.
 type arena struct {
 	rng *rand.Rand
 	col [maxCols][]float64
 }
 
 func newArena(cols int) *arena {
-	a := &arena{rng: rand.New(rand.NewSource(0))}
+	a := &arena{rng: rand.New(newTrialSource(0))}
 	for k := 0; k < cols; k++ {
 		a.col[k] = make([]float64, batchBlock)
 	}
