@@ -30,11 +30,9 @@ func ExtTriples(ctx context.Context, p Params) (Result, error) {
 		return Result{}, err
 	}
 	opts := sched.Options{Channel: p.Channel, PacketBits: p.PacketBits}
-	// One planner and one grouper serve every snapshot: both are documented
-	// to produce exactly the results of their one-shot counterparts
-	// (sched.New / sched.GroupsOfUpTo3) while reusing their solver and
-	// candidate scratch between calls.
-	planner := sched.NewPlanner(opts)
+	// One grouper serves every snapshot: it is documented to produce exactly
+	// the results of its one-shot counterpart (sched.GroupsOfUpTo3) while
+	// reusing its candidate scratch between calls.
 	var grouper sched.Grouper
 
 	var (
@@ -57,7 +55,7 @@ func ExtTriples(ctx context.Context, p Params) (Result, error) {
 			continue
 		}
 		usable++
-		paired, err := planner.Plan(ctx, clients)
+		paired, err := sched.New(ctx, clients, opts)
 		if err != nil {
 			return Result{}, err
 		}

@@ -117,66 +117,53 @@ func Fig12(ctx context.Context, p Params) (Result, error) {
 // the scheduler uses.
 func exhaustiveBest(ctx context.Context, clients []sched.Client, opts sched.Options) (float64, error) {
 	n := len(clients)
+	// Each pair's cost is its 2-client schedule and each client's solo cost
+	// its 1-client schedule, so the oracle reads the exact production cost
+	// model rather than duplicating it. Both are tabulated once per
+	// instance; pair[i*n+j] holds i < j.
+	pair := make([]float64, n*n)
+	solo := make([]float64, n)
+	for i := range clients {
+		s, err := sched.New(ctx, []sched.Client{clients[i]}, opts)
+		if err != nil {
+			return 0, err
+		}
+		solo[i] = s.Total
+		for j := i + 1; j < n; j++ {
+			s, err := sched.New(ctx, []sched.Client{clients[i], clients[j]}, opts)
+			if err != nil {
+				return 0, err
+			}
+			pair[i*n+j] = s.Total
+		}
+	}
+
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	best := math.Inf(1)
-
-	// pairTime evaluates the scheduler's pair cost via a 2-client schedule;
-	// soloTime via a 1-client schedule. This reuses the exact production
-	// cost model rather than duplicating it.
-	pairTime := func(i, j int) (float64, error) {
-		s, err := sched.New(ctx, []sched.Client{clients[i], clients[j]}, opts)
-		if err != nil {
-			return 0, err
-		}
-		return s.Total, nil
-	}
-	soloTime := func(i int) (float64, error) {
-		s, err := sched.New(ctx, []sched.Client{clients[i]}, opts)
-		if err != nil {
-			return 0, err
-		}
-		return s.Total, nil
-	}
-
-	var rec func(remaining []int, acc float64, soloUsed bool) error
-	rec = func(remaining []int, acc float64, soloUsed bool) error {
+	var rec func(remaining []int, acc float64, soloUsed bool)
+	rec = func(remaining []int, acc float64, soloUsed bool) {
 		if acc >= best {
-			return nil
+			return
 		}
 		if len(remaining) == 0 {
 			best = acc
-			return nil
+			return
 		}
 		first := remaining[0]
 		rest := remaining[1:]
 		for k := 0; k < len(rest); k++ {
-			t, err := pairTime(first, rest[k])
-			if err != nil {
-				return err
-			}
 			next := make([]int, 0, len(rest)-1)
 			next = append(next, rest[:k]...)
 			next = append(next, rest[k+1:]...)
-			if err := rec(next, acc+t, soloUsed); err != nil {
-				return err
-			}
+			rec(next, acc+pair[first*n+rest[k]], soloUsed)
 		}
 		if len(remaining)%2 == 1 && !soloUsed {
-			t, err := soloTime(first)
-			if err != nil {
-				return err
-			}
-			if err := rec(rest, acc+t, true); err != nil {
-				return err
-			}
+			rec(rest, acc+solo[first], true)
 		}
-		return nil
 	}
-	if err := rec(idx, 0, false); err != nil {
-		return 0, err
-	}
+	rec(idx, 0, false)
 	return best, nil
 }

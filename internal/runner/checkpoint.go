@@ -77,15 +77,24 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-func writeEnvelope(path string, payload []byte) error {
-	// Compact marshalling keeps the (already-compact) payload bytes exactly
-	// as digested; indentation would reformat the RawMessage and break the
-	// checksum on read-back.
-	blob, err := json.Marshal(envelope{SHA256: digest(payload), Payload: payload})
-	if err != nil {
-		return err
+// writeEnvelope atomically writes payload in its checksummed envelope and
+// returns the checksum. payload must be json.Marshal output: that is
+// already compact and HTML-escaped, so splicing it in verbatim yields the
+// bytes json.Marshal(envelope{...}) would, without scanning the payload a
+// second time. Indenting instead would reformat the payload and break the
+// checksum on read-back.
+func writeEnvelope(path string, payload []byte) (string, error) {
+	sum := digest(payload)
+	blob := make([]byte, 0, len(payload)+len(sum)+len(`{"sha256":"","payload":}`)+1)
+	blob = append(blob, `{"sha256":"`...)
+	blob = append(blob, sum...)
+	blob = append(blob, `","payload":`...)
+	blob = append(blob, payload...)
+	blob = append(blob, "}\n"...)
+	if err := atomicio.WriteFile(path, blob, 0o644); err != nil {
+		return "", err
 	}
-	return atomicio.WriteFile(path, append(blob, '\n'), 0o644)
+	return sum, nil
 }
 
 // readEnvelope loads and verifies a checksummed file. Truncated, garbled
@@ -146,15 +155,16 @@ func (s *Store) Save(figID, paramsHash string, cp Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("runner: encoding checkpoint %s: %w", figID, err)
 	}
-	if err := writeEnvelope(s.payloadPath(figID), payload); err != nil {
+	sum, err := writeEnvelope(s.payloadPath(figID), payload)
+	if err != nil {
 		return fmt.Errorf("runner: writing checkpoint %s: %w", figID, err)
 	}
-	s.entries[figID] = manifestEntry{ParamsHash: paramsHash, Checksum: digest(payload)}
+	s.entries[figID] = manifestEntry{ParamsHash: paramsHash, Checksum: sum}
 	manifest, err := json.Marshal(s.entries)
 	if err != nil {
 		return fmt.Errorf("runner: encoding manifest: %w", err)
 	}
-	if err := writeEnvelope(s.manifestPath(), manifest); err != nil {
+	if _, err := writeEnvelope(s.manifestPath(), manifest); err != nil {
 		return fmt.Errorf("runner: writing manifest: %w", err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -174,5 +175,52 @@ func TestResumeRecomputesCorruptedFigureOnly(t *testing.T) {
 	if aCalls.Load() != 2 || bCalls.Load() != 1 {
 		t.Errorf("calls a=%d b=%d, want a recomputed (2) and b cached (1)",
 			aCalls.Load(), bCalls.Load())
+	}
+}
+
+// TestEnvelopeBytesMatchMarshal: writeEnvelope splices the payload into
+// the envelope verbatim rather than marshalling it, which is sound only
+// for payloads json.Marshal produced. Every real figure checkpoint (CSV
+// and SVG text included) and the manifest must read back as exactly the
+// bytes json.Marshal of the envelope would have written.
+func TestEnvelopeBytesMatchMarshal(t *testing.T) {
+	opts := baseOpts(t)
+	suite := append(experiments.All(), experiments.Ablations()...)
+	rep, err := Run(context.Background(), suite, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed() != 0 {
+		t.Fatalf("suite failed:\n%s", rep.Render())
+	}
+	files, err := os.ReadDir(opts.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(suite)+1 {
+		t.Fatalf("%d checkpoint files, want one per figure plus the manifest (%d)", len(files), len(suite)+1)
+	}
+	for _, f := range files {
+		got, err := os.ReadFile(filepath.Join(opts.CheckpointDir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		if err := json.Unmarshal(got, &env); err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		want, err := json.Marshal(envelope{SHA256: digest(env.Payload), Payload: env.Payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("%s: written envelope (%d bytes) departs from json.Marshal's (%d bytes) at byte %d",
+				f.Name(), len(got), len(want), i)
+		}
 	}
 }

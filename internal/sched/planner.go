@@ -41,9 +41,10 @@ type PlanStats struct {
 // solo airtime and the full pair-cost table across queries, and holds the
 // matching engine so consecutive solves for the same client population
 // reuse buffers — and, when only SNRs drifted, warm-start from the
-// previous matching. The one-shot entry points (New, Greedy) are
-// thin wrappers over a throwaway Planner; the scheduling daemon keeps one
-// Planner per AP across queries.
+// previous matching. Hold one for warm repeated queries, as the
+// scheduling daemon does per AP. The one-shot entry points (New, Greedy)
+// run on pooled Planners instead, but always rebuild and solve cold, so
+// their results never depend on an earlier call.
 //
 // A Planner is not safe for concurrent use. Its cached table is keyed on
 // the client ID sequence: a query whose IDs match the previous query's
@@ -237,8 +238,8 @@ func (p *Planner) setDummy(clients []Client, i int) error {
 
 // Plan computes the optimal schedule for clients, reusing every cache the
 // Planner holds. It is New's engine: same validation, same schedule,
-// same errors — minus the per-query allocations, plus warm-started
-// matching when only SNRs moved since the previous query.
+// same errors — plus warm-started matching when only SNRs moved since the
+// previous query.
 func (p *Planner) Plan(ctx context.Context, clients []Client) (Schedule, error) {
 	baseline, err := p.prepare(clients)
 	if err != nil {
@@ -267,7 +268,7 @@ func (p *Planner) Plan(ctx context.Context, clients []Client) (Schedule, error) 
 	}
 
 	mate := p.solver.Mates()
-	var slots []Slot
+	slots := make([]Slot, 0, (n+1)/2) // a perfect matching on n + n%2 vertices
 	var total float64
 	for i := 0; i < n; i++ {
 		m := mate[i]
@@ -315,7 +316,8 @@ func (p *Planner) PlanGreedy(ctx context.Context, clients []Client) (Schedule, e
 	for i := range p.used {
 		p.used[i] = false
 	}
-	var slots []Slot
+	// On the complete graph greedy pairs every client but at most one.
+	slots := make([]Slot, 0, (n+1)/2)
 	var total float64
 	for _, c := range p.cands {
 		if p.used[c.i] || p.used[c.j] {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/phy"
@@ -209,21 +210,46 @@ func validateInputs(clients []Client, o Options) error {
 // scheduling daemon uses this to bound how long an optimal solve may hold
 // the serving loop before degrading to a cheaper algorithm.
 //
-// New runs a throwaway Planner; callers issuing repeated queries over a
-// mostly stable client set should hold a Planner instead, which memoizes
-// the cost table and warm-starts the matcher across queries.
+// New is the cold one-shot form: it borrows a pooled Planner, so it
+// allocates only the returned schedule once the pool is warm, but it
+// always rebuilds the cost table and solves from scratch. Its result is
+// therefore a function of clients and o alone, independent of any earlier
+// call. Callers issuing repeated queries over a mostly stable client set
+// should hold a Planner instead, which memoizes the cost table and
+// warm-starts the matcher across queries.
 func New(ctx context.Context, clients []Client, o Options) (Schedule, error) {
-	return NewPlanner(o).Plan(ctx, clients)
+	p := coldPlanner(o)
+	defer planners.Put(p)
+	return p.Plan(ctx, clients)
 }
 
 // Greedy computes a schedule with best-pair-first greedy selection instead
 // of optimal matching. It exists as the ablation baseline quantifying what
 // Edmonds' algorithm buys (see DESIGN.md), and as the middle rung of the
 // serving daemon's degradation ladder. ctx cancels the O(n²) candidate
-// build. Like New it runs a throwaway Planner; repeated callers should
-// hold a Planner and use PlanGreedy.
+// build. Like New it is a cold one-shot on a pooled Planner, independent
+// of earlier calls; repeated callers should hold a Planner and use
+// PlanGreedy.
 func Greedy(ctx context.Context, clients []Client, o Options) (Schedule, error) {
-	return NewPlanner(o).PlanGreedy(ctx, clients)
+	p := coldPlanner(o)
+	defer planners.Put(p)
+	return p.PlanGreedy(ctx, clients)
+}
+
+// planners recycles the one-shot entry points' Planners, and with them the
+// cost table and the matcher's O(n²) blossom buffers.
+var planners = sync.Pool{New: func() any { return new(Planner) }}
+
+// coldPlanner takes a Planner from the pool for one query under o. Its
+// cached table is discarded, so the query rebuilds every cost and solves
+// cold: a warm re-solve could pick a different equal-cost matching, which
+// would make a one-shot result depend on whichever call used the Planner
+// before.
+func coldPlanner(o Options) *Planner {
+	p := planners.Get().(*Planner)
+	p.opts = o
+	p.haveTable = false
+	return p
 }
 
 // Serial computes the no-SIC schedule: every client transmits alone at its

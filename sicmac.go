@@ -153,7 +153,9 @@ const (
 // SchedPlanner is the reusable form of the scheduler: it memoizes solo and
 // pair costs across queries and warm-starts the matcher when only SNRs
 // drifted. Hold one per AP for repeated scheduling of a mostly-stable
-// client population; the one-shot entry points build a throwaway one.
+// client population; the one-shot entry points (NewSchedule,
+// GreedySchedule) run on pooled planners but always solve cold, so their
+// results never depend on an earlier call.
 type SchedPlanner = sched.Planner
 
 // NewSchedPlanner returns a SchedPlanner computing costs under o.
