@@ -1,9 +1,12 @@
 // Package connd exercises the conndeadline analyzer: conn I/O must be
 // dominated by a deadline on the same conn value, per direction, with
-// helper functions whose name mentions Deadline arming the conn too.
+// helper functions whose name mentions Deadline arming the conn too, and
+// I/O through bufio/json wrappers of the conn counting as I/O on it.
 package connd
 
 import (
+	"bufio"
+	"encoding/json"
 	"net"
 	"time"
 )
@@ -97,4 +100,73 @@ func allowNeedsReason(conn net.Conn, b []byte) {
 	if _, err := conn.Read(b); err != nil { // want "Read on \"conn\" is not dominated"
 		return
 	}
+}
+
+// readHelperThenWrite: a helper named for read deadlines arms reads only.
+func readHelperThenWrite(conn net.Conn, b []byte) {
+	if err := setReadDeadline(conn, time.Now().Add(time.Second)); err != nil {
+		return
+	}
+	if _, err := conn.Read(b); err != nil { // ok: the helper armed the read side
+		return
+	}
+	if _, err := conn.Write(b); err != nil { // want "Write on \"conn\" is not dominated"
+		return
+	}
+}
+
+func setReadDeadline(c net.Conn, t time.Time) error {
+	return c.SetReadDeadline(t)
+}
+
+// nakedScan reads through a scanner on an unarmed conn.
+func nakedScan(conn net.Conn) string {
+	sc := bufio.NewScanner(conn)
+	if !sc.Scan() { // want "Read on \"conn\" via sc.Scan is not dominated"
+		return ""
+	}
+	return sc.Text()
+}
+
+// unarmedReplyLoop is a query loop whose idle read deadline covers the
+// command read but nothing covers the reply: a peer that stops reading
+// replies parks the handler in Encode forever.
+func unarmedReplyLoop(conn net.Conn, idle time.Duration) {
+	enc := json.NewEncoder(conn)
+	sc := bufio.NewScanner(conn)
+	for {
+		if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
+			return
+		}
+		if !sc.Scan() { // ok: the read side is armed
+			return
+		}
+		enc.Encode(sc.Text()) // want "Write on \"conn\" via enc.Encode is not dominated"
+	}
+}
+
+// armedReplyLoop arms the reply write too.
+func armedReplyLoop(conn net.Conn, idle time.Duration) {
+	enc := json.NewEncoder(conn)
+	sc := bufio.NewScanner(conn)
+	for {
+		if err := setReadDeadline(conn, time.Now().Add(idle)); err != nil {
+			return
+		}
+		if !sc.Scan() { // ok: armed by the read-deadline helper
+			return
+		}
+		if conn.SetWriteDeadline(time.Now().Add(idle)) != nil || enc.Encode(sc.Text()) != nil { // ok: armed just before
+			return
+		}
+	}
+}
+
+// bufferedWriter: Flush is the write that reaches the conn.
+func bufferedWriter(conn net.Conn, line string) error {
+	w := bufio.NewWriter(conn)
+	if _, err := w.WriteString(line); err != nil { // want "Write on \"conn\" via w.WriteString is not dominated"
+		return err
+	}
+	return w.Flush() // want "Write on \"conn\" via w.Flush is not dominated"
 }

@@ -110,13 +110,13 @@ type slotResult struct {
 	crc     int      // how many of failed were CRC rejects
 }
 
-// medium owns virtual time and superposes concurrent transmissions.
+// medium superposes concurrent transmissions; the AP accounts virtual time
+// from each slot's airtime.
 type medium struct {
 	rx     mac.SICReceiver
 	faults *faultState // nil on a perfect channel
 
 	mu      sync.Mutex
-	clock   float64
 	pending map[slotKey]*pendingSlot
 }
 
@@ -139,9 +139,9 @@ func (m *medium) expect(key slotKey, n int) <-chan slotResult {
 }
 
 // transmit delivers one station's frame into its slot; the completing
-// transmission triggers decoding and clock advance. The fault model may
-// mark the frame lost (a deep fade: the air is occupied but the AP hears
-// nothing) or flip a payload bit so the CRC check rejects it.
+// transmission triggers decoding. The fault model may mark the frame lost
+// (a deep fade: the air is occupied but the AP hears nothing) or flip a
+// payload bit so the CRC check rejects it.
 func (m *medium) transmit(tx transmission) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -224,7 +224,6 @@ func (m *medium) resolveLocked(key slotKey, ps *pendingSlot) {
 		}
 		res.decoded = append(res.decoded, f)
 	}
-	m.clock += airtime
 	ps.done <- res
 }
 

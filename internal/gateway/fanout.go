@@ -1,47 +1,23 @@
 package gateway
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/schedd"
+	"repro/internal/serve"
 )
 
-// errorResponse mirrors the daemon's error reply shape so AP clients can
-// talk to a gateway or a bare daemon with the same parser.
-type errorResponse struct {
-	Error        string `json:"error"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-// slotReply is one schedule slot as shards report it and the gateway
-// re-emits it. B is zero for serial (single-station) slots — station 0 is
-// invalid on the wire, so zero is unambiguous.
-type slotReply struct {
-	Mode  string  `json:"mode"`
-	A     uint32  `json:"a"`
-	B     uint32  `json:"b,omitempty"`
-	Scale float64 `json:"scale,omitempty"`
-	MS    float64 `json:"ms"`
-}
-
-// shardReply is the union of the daemon's SCHED reply and its error
-// shape; exactly one side is populated.
+// shardReply is a shard's SCHED answer: the schedule, or the error reply
+// in its place.
 type shardReply struct {
-	Error        string      `json:"error"`
-	RetryAfterMS int64       `json:"retry_after_ms"`
-	AP           uint32      `json:"ap"`
-	Level        string      `json:"level"`
-	Clients      int         `json:"clients"`
-	TotalMS      float64     `json:"total_ms"`
-	Gain         float64     `json:"gain"`
-	Slots        []slotReply `json:"slots"`
+	serve.ErrorReply
+	schedd.SchedReply
 }
 
 // partOutcome is one fan-out target's final verdict: the winning reply
@@ -70,15 +46,15 @@ type shardPart struct {
 // ring or a fan-out target failed every attempt, meaning the schedule may
 // be missing stations that have fresh reports somewhere.
 type schedResponse struct {
-	AP       uint32      `json:"ap"`
-	Degraded bool        `json:"degraded"`
-	Epoch    uint64      `json:"epoch"`
-	Clients  int         `json:"clients"`
-	TotalMS  float64     `json:"total_ms"`
-	Gain     float64     `json:"gain"`
-	Slots    []slotReply `json:"slots"`
-	Shards   []shardPart `json:"shards"`
-	ElapsMS  float64     `json:"elapsed_ms"`
+	AP       uint32        `json:"ap"`
+	Degraded bool          `json:"degraded"`
+	Epoch    uint64        `json:"epoch"`
+	Clients  int           `json:"clients"`
+	TotalMS  float64       `json:"total_ms"`
+	Gain     float64       `json:"gain"`
+	Slots    []schedd.Slot `json:"slots"`
+	Shards   []shardPart   `json:"shards"`
+	ElapsMS  float64       `json:"elapsed_ms"`
 }
 
 // shardStatus is one shard's line in the gateway HEALTH reply.
@@ -99,110 +75,42 @@ type healthResponse struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-// acceptLoop accepts AP-facing query connections.
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.tcp.Accept()
-		if err != nil {
-			if s.closing.Load() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.connMu.Lock()
-		if s.closing.Load() {
-			s.connMu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.connWG.Add(1)
-		go s.handleConn(conn)
-	}
-}
-
-func (s *Server) dropConn(conn net.Conn) {
-	s.connMu.Lock()
-	delete(s.conns, conn)
-	s.connMu.Unlock()
-	conn.Close()
-}
-
-// armRead sets the idle read deadline for the next command, serialised
-// with Shutdown's deadline nudge like the daemon's.
-func (s *Server) armRead(conn net.Conn) bool {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if s.closing.Load() {
-		return false
-	}
-	if err := conn.SetReadDeadline(s.cfg.now().Add(s.cfg.IdleTimeout)); err != nil {
-		// A conn that cannot arm its idle deadline must not be read from
-		// unarmed; telling the handler to hang up is the safe failure.
-		return false
-	}
-	return true
-}
-
-// handleConn serves newline-delimited commands on one connection:
+// command answers one newline-delimited query command:
 //
 //	SCHED <apID>   -> one-line JSON merged schedule with a degraded flag
 //	HEALTH         -> one-line JSON tier health (shards, epoch, counters)
 //	QUIT           -> close the connection
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.connWG.Done()
-	defer s.dropConn(conn)
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 4096), 4096)
-	for {
-		if !s.armRead(conn) {
-			return
-		}
-		if !sc.Scan() {
-			return
-		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "SCHED":
-			if len(fields) != 2 {
-				s.queryEvents.Inc("bad")
-				enc.Encode(errorResponse{Error: "usage: SCHED <apID>"})
-				continue
-			}
-			ap, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				s.queryEvents.Inc("bad")
-				enc.Encode(errorResponse{Error: "bad ap id: " + fields[1]})
-				continue
-			}
-			s.queryEvents.Inc("queries")
-			if s.inflight.Add(1) > int64(s.cfg.MaxInflight) {
-				s.inflight.Add(-1)
-				s.queryEvents.Inc("overload")
-				enc.Encode(errorResponse{
-					Error:        "gateway overloaded",
-					RetryAfterMS: s.cfg.RetryAfter.Milliseconds(),
-				})
-				continue
-			}
-			resp := s.serveSched(s.baseCtx, uint32(ap))
-			s.inflight.Add(-1)
-			enc.Encode(resp)
-		case "HEALTH":
-			s.queryEvents.Inc("health")
-			enc.Encode(s.health())
-		case "QUIT":
-			return
-		default:
+func (s *Server) command(fields []string) (reply any, quit bool) {
+	switch fields[0] {
+	case "SCHED":
+		if len(fields) != 2 {
 			s.queryEvents.Inc("bad")
-			enc.Encode(errorResponse{Error: "unknown command: " + fields[0]})
+			return serve.ErrorReply{Error: "usage: SCHED <apID>"}, false
 		}
+		ap, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil {
+			s.queryEvents.Inc("bad")
+			return serve.ErrorReply{Error: "bad ap id: " + fields[1]}, false
+		}
+		s.queryEvents.Inc("queries")
+		if s.inflight.Add(1) > int64(s.cfg.MaxInflight) {
+			s.inflight.Add(-1)
+			s.queryEvents.Inc("overload")
+			return serve.ErrorReply{
+				Error:        "gateway overloaded",
+				RetryAfterMS: s.cfg.RetryAfter.Milliseconds(),
+			}, false
+		}
+		defer s.inflight.Add(-1)
+		return s.serveSched(s.baseCtx, uint32(ap)), false
+	case "HEALTH":
+		s.queryEvents.Inc("health")
+		return s.health(), false
+	case "QUIT":
+		return nil, true
+	default:
+		s.queryEvents.Inc("bad")
+		return serve.ErrorReply{Error: "unknown command: " + fields[0]}, false
 	}
 }
 
@@ -477,7 +385,7 @@ func (s *Server) queryShard(ctx context.Context, idx int, ap uint32) (*shardRepl
 		}
 		if reply.Error != "" {
 			if strings.Contains(reply.Error, "no fresh reports") {
-				return &shardReply{AP: ap}, nil
+				return &shardReply{SchedReply: schedd.SchedReply{AP: ap}}, nil
 			}
 			lastErr = errors.New(reply.Error)
 			if reply.RetryAfterMS > 0 {

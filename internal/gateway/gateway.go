@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/schedd"
+	"repro/internal/serve"
 )
 
 // ShardAddr names one scheduler shard and its two listeners. Name is the
@@ -237,13 +238,10 @@ type Server struct {
 	cfg     Config
 	started time.Time
 
-	udp *net.UDPConn
-	tcp net.Listener
-
-	queue    chan []byte
+	// front is the ingest socket and query listener (internal/serve). It
+	// also runs the probers and rebalances, so its drain waits for them.
+	front    *serve.Listener
 	inflight atomic.Int64
-	closing  atomic.Bool
-	done     chan struct{}
 
 	// ringMu guards shard state and bothrings. full maps stations over
 	// every configured shard (the no-failure assignment); live maps over
@@ -272,13 +270,6 @@ type Server struct {
 	// Shutdown.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
-
-	wg     sync.WaitGroup // reader, filter worker, acceptor, probers
-	connWG sync.WaitGroup // per-connection handlers
-	rebWG  sync.WaitGroup // in-flight rebalances
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 }
 
 // ingestEventNames is every sicgw_ingest_total event.
@@ -366,30 +357,17 @@ func Start(cfg Config) (*Server, error) {
 		cfg.Replication = len(cfg.Shards)
 	}
 
-	uaddr, err := net.ResolveUDPAddr("udp", cfg.UDPAddr)
+	front, err := serve.Listen(cfg.UDPAddr, cfg.TCPAddr)
 	if err != nil {
-		return nil, fmt.Errorf("gateway: resolving UDP addr: %w", err)
-	}
-	udp, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: binding UDP: %w", err)
-	}
-	tcp, err := net.Listen("tcp", cfg.TCPAddr)
-	if err != nil {
-		udp.Close()
-		return nil, fmt.Errorf("gateway: binding TCP: %w", err)
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 
 	s := &Server{
 		cfg:        cfg,
 		started:    cfg.now(),
-		udp:        udp,
-		tcp:        tcp,
-		queue:      make(chan []byte, cfg.QueueDepth),
-		done:       make(chan struct{}),
+		front:      front,
 		stations:   make(map[uint32]*stationRec),
 		apStations: make(map[uint32]map[uint32]struct{}),
-		conns:      make(map[net.Conn]struct{}),
 		ingestEvents: cfg.Registry.Group("sicgw_ingest_total",
 			"gateway report ingest: filtering, dedup and replicated forwarding", "event",
 			ingestEventNames()...),
@@ -417,8 +395,7 @@ func Start(cfg Config) (*Server, error) {
 	for i, sh := range cfg.Shards {
 		ua, err := net.ResolveUDPAddr("udp", sh.UDP)
 		if err != nil {
-			udp.Close()
-			tcp.Close()
+			front.Close()
 			return nil, fmt.Errorf("gateway: resolving shard %q UDP addr: %w", sh.Name, err)
 		}
 		labels := obs.Labels{"shard": sh.Name}
@@ -454,12 +431,18 @@ func Start(cfg Config) (*Server, error) {
 
 	//lint:allow ctxfirst the gateway owns its tier's lifetimes; this is the one root context, cancelled by Shutdown
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	s.wg.Add(3 + len(s.shards))
-	go s.readLoop()
-	go s.filterLoop()
-	go s.acceptLoop()
+	front.Serve(serve.Config{
+		QueueDepth:  cfg.QueueDepth,
+		IdleTimeout: cfg.IdleTimeout,
+		Datagram:    s.ingest,
+		Command:     s.command,
+		Counters:    s.ingestEvents,
+		Read:        "datagrams",
+		Shed:        "shed",
+		Now:         cfg.now,
+	})
 	for _, sh := range s.shards {
-		go s.probeLoop(sh)
+		front.Go(func() { s.probeLoop(sh) })
 	}
 	return s, nil
 }
@@ -474,10 +457,10 @@ func (s *Server) shardNames() []string {
 }
 
 // UDPAddr returns the bound report-ingest address.
-func (s *Server) UDPAddr() net.Addr { return s.udp.LocalAddr() }
+func (s *Server) UDPAddr() net.Addr { return s.front.UDPAddr() }
 
 // TCPAddr returns the bound query address.
-func (s *Server) TCPAddr() net.Addr { return s.tcp.Addr() }
+func (s *Server) TCPAddr() net.Addr { return s.front.TCPAddr() }
 
 // Registry exposes the gateway's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
@@ -525,45 +508,12 @@ func (s *Server) Stations() int {
 }
 
 // Shutdown stops ingest, probing and query serving, draining in-flight
-// queries and rebalances until ctx expires, then closes the idle shard
-// connections.
+// queries, probes and rebalances until ctx expires, then closes the idle
+// shard connections.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if s.closing.Swap(true) {
-		return errors.New("gateway: already shut down")
-	}
-	s.udp.Close()
-	s.tcp.Close()
-	close(s.done)
-	s.wg.Wait()
-
-	s.connMu.Lock()
-	for conn := range s.conns {
-		if err := conn.SetReadDeadline(s.cfg.now()); err != nil {
-			// The nudge did not land, so the idle read it was meant to wake
-			// may never return; close outright rather than hang the drain.
-			conn.Close()
-		}
-	}
-	s.connMu.Unlock()
-
-	drained := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		s.rebWG.Wait()
-		close(drained)
-	}()
-	var err error
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		s.cancelBase()
-		s.connMu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.connMu.Unlock()
-		<-drained
-		err = fmt.Errorf("gateway: drain cut short: %w", ctx.Err())
+	err := s.front.Shutdown(ctx, s.cancelBase)
+	if errors.Is(err, serve.ErrClosed) {
+		return fmt.Errorf("gateway: %w", err)
 	}
 	s.cancelBase()
 	// A hedge loser may still be mid round trip; it finds the pool closed
@@ -571,5 +521,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, sh := range s.shards {
 		sh.closePool()
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("gateway: %w", err)
+	}
+	return nil
 }

@@ -1,9 +1,6 @@
 package gateway
 
 import (
-	"errors"
-	"net"
-
 	"repro/internal/schedd"
 )
 
@@ -15,63 +12,6 @@ import (
 // one. Real AP ids must therefore stay below 1<<31 — reports claiming a
 // reserved AP are rejected at ingest.
 const replicaAPBit = uint32(1) << 31
-
-// readLoop pulls datagrams off the socket into the bounded ingest queue,
-// shedding oldest-first under pressure — the same policy as the daemon's
-// ingest, because the same argument holds: fresher reports are worth
-// strictly more than stale ones.
-func (s *Server) readLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, 512)
-	for {
-		n, _, err := s.udp.ReadFromUDP(buf)
-		if err != nil {
-			if s.closing.Load() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.ingestEvents.Inc("datagrams")
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		select {
-		case s.queue <- pkt:
-		default:
-			select {
-			case <-s.queue:
-				s.ingestEvents.Inc("shed")
-			default:
-			}
-			select {
-			case s.queue <- pkt:
-			default:
-				s.ingestEvents.Inc("shed")
-			}
-		}
-	}
-}
-
-// filterLoop drains the ingest queue: prefix filter, full decode, dedup,
-// then replicated forwarding. On shutdown it drains what is already queued
-// so accepted reports are not silently discarded.
-func (s *Server) filterLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case pkt := <-s.queue:
-			s.ingest(pkt)
-		case <-s.done:
-			for {
-				select {
-				case pkt := <-s.queue:
-					s.ingest(pkt)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
 
 // ingest validates one datagram and, if it advances the station's sequence
 // number, forwards the original bytes to the station's owner shard and its
@@ -201,7 +141,7 @@ func (s *Server) forward(r schedd.Report, pkt []byte) {
 			}
 			out = shadow
 		}
-		if _, err := s.udp.WriteToUDP(out, s.shards[idx].udpAddr); err != nil {
+		if _, err := s.front.WriteToUDP(out, s.shards[idx].udpAddr); err != nil {
 			s.ingestEvents.Inc("forward_err")
 			continue
 		}

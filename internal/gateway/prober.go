@@ -18,12 +18,11 @@ type shardHealth struct {
 
 // probeLoop probes one shard at the configured interval until shutdown.
 func (s *Server) probeLoop(sh *shardState) {
-	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.done:
+		case <-s.front.Done():
 			return
 		case <-t.C:
 			s.probeOnce(s.baseCtx, sh)
@@ -111,9 +110,7 @@ func (s *Server) applyProbe(ctx context.Context, sh *shardState, health shardHea
 
 	if newRing != nil {
 		s.pushEpochAll(ctx)
-		s.startRebalance(ctx, func(rctx context.Context) {
-			s.rebalanceRings(rctx, oldRing, newRing)
-		})
+		s.front.Go(func() { s.rebalanceRings(ctx, oldRing, newRing) })
 		return
 	}
 	if restarted {
@@ -121,9 +118,7 @@ func (s *Server) applyProbe(ctx context.Context, sh *shardState, health shardHea
 		// shard forgot the current epoch and its sessions. Re-push and
 		// re-migrate.
 		s.pushEpoch(ctx, sh, epoch)
-		s.startRebalance(ctx, func(rctx context.Context) {
-			s.remigrate(rctx, sh.idx)
-		})
+		s.front.Go(func() { s.remigrate(ctx, sh.idx) })
 		return
 	}
 	if staleEpoch {

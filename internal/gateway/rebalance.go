@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"repro/internal/serve"
 )
 
 // move is one planned session migration: pull station's session out of the
@@ -13,16 +15,6 @@ import (
 type move struct {
 	station  uint32
 	src, dst int
-}
-
-// startRebalance runs fn on a tracked goroutine so Shutdown can drain
-// in-flight migrations.
-func (s *Server) startRebalance(ctx context.Context, fn func(context.Context)) {
-	s.rebWG.Add(1)
-	go func() {
-		defer s.rebWG.Done()
-		fn(ctx)
-	}()
 }
 
 // rebalanceRings migrates every indexed station whose owner differs
@@ -114,11 +106,7 @@ func (s *Server) runMoves(ctx context.Context, moves []move) {
 // not a failure: the station never reported to the source, or already
 // went stale there.
 func (s *Server) moveStation(ctx context.Context, mv move) {
-	var resp struct {
-		Station  uint32 `json:"station"`
-		Transfer string `json:"transfer"`
-		Error    string `json:"error"`
-	}
+	var resp serve.ErrorReply
 	line := fmt.Sprintf("MOVE %d %s\n", mv.station, s.shards[mv.dst].addr.TCP)
 	if err := s.roundTrip(ctx, s.shards[mv.src], line, s.cfg.MoveTimeout, &resp); err != nil {
 		s.rebalanceEvents.Inc("move_err")

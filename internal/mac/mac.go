@@ -1,9 +1,9 @@
 // Package mac is a discrete-event MAC-layer simulator for WLAN upload with
 // an SIC-capable access point. It exists to validate the paper's analytic
 // completion times end to end: the same topologies are drained packet by
-// packet through an event queue, real wire-format frames (package frame),
-// and an explicit SIC receiver model, and the measured drain times are
-// compared against the closed-form predictions.
+// packet on a simulated clock, with real wire-format frames (package
+// frame) and an explicit SIC receiver model, and the measured drain times
+// are compared against the closed-form predictions.
 //
 // Two MACs are provided:
 //

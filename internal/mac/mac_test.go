@@ -368,31 +368,6 @@ func TestRunScheduledMaxRounds(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	var q eventQueue
-	q.schedule(event{at: 3, station: 3})
-	q.schedule(event{at: 1, station: 1})
-	q.schedule(event{at: 2, station: 2})
-	q.schedule(event{at: 1, station: 10}) // same time: FIFO by seq
-	var got []uint32
-	for {
-		ev, ok := q.next()
-		if !ok {
-			break
-		}
-		got = append(got, ev.station)
-	}
-	want := []uint32{1, 10, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event order %v, want %v", got, want)
-		}
-	}
-}
-
 func TestScheduledMultirateMatchesAnalytic(t *testing.T) {
 	// Two clients with close SNRs: the stronger is the SIC bottleneck, so
 	// multirate packetization should shorten the slot, and the simulated

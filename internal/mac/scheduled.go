@@ -183,11 +183,8 @@ func soloTx(s *stState, cfg Config, res *Result, now, ackTime float64) (float64,
 	}); err != nil {
 		return now, err
 	}
-	var q eventQueue
-	q.schedule(event{at: now + air, kind: evTxEnd, station: s.ID})
-	ev, _ := q.next()
+	now += air
 	res.Events++
-	now = ev.at
 	res.AirtimeData += air
 	now += cfg.SIFS + ackTime
 	res.AirtimeOverhead += cfg.SIFS + ackTime
@@ -275,18 +272,9 @@ func runSlot(entry frame.ScheduleEntry, pending map[uint32]*stState, cfg Config,
 		}
 	}
 
-	var q eventQueue
-	q.schedule(event{at: now + airStrong, kind: evTxEnd, station: strong.ID})
-	q.schedule(event{at: now + airWeak, kind: evTxEnd, station: weak.ID})
-	end := now
-	for {
-		ev, ok := q.next()
-		if !ok {
-			break
-		}
-		res.Events++
-		end = ev.at
-	}
+	// The slot ends when the later of the two frames does.
+	end := math.Max(now+airStrong, now+airWeak)
+	res.Events += 2
 	res.AirtimeData += end - now
 	now = end
 

@@ -36,7 +36,6 @@ func RunSerial(stations []Station, cfg Config) (Result, error) {
 	}
 
 	res := Result{Delivered: map[uint32]int{}}
-	var q eventQueue
 	now := 0.0
 	ackTime := cfg.AckBits / cfg.BaseRate
 
@@ -105,12 +104,9 @@ func RunSerial(stations []Station, cfg Config) (Result, error) {
 				return Result{}, fmt.Errorf("mac: capture: %w", err)
 			}
 		}
-		q.schedule(event{at: now + air, kind: evTxEnd, station: s.ID, payload: wire})
-
-		ev, _ := q.next()
+		now += air
 		res.Events++
-		now = ev.at
-		if _, err := frame.Decode(ev.payload); err != nil {
+		if _, err := frame.Decode(wire); err != nil {
 			return Result{}, fmt.Errorf("mac: AP failed to parse its own frame: %w", err)
 		}
 		// Single transmission at the link's own best rate always decodes.

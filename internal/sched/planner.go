@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/matching"
 )
@@ -25,6 +25,20 @@ type greedyCand struct {
 	t     float64
 	mode  Mode
 	scale float64
+}
+
+// candByTime orders greedy candidates by slot time. slices.SortFunc runs
+// the same pdqsort as sort.Slice and consults only cmp < 0, so this sorts
+// exactly as less = a.t < b.t did, ties included, without sort.Slice's
+// reflection and closure allocations.
+func candByTime(a, b greedyCand) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case a.t > b.t:
+		return 1
+	}
+	return 0
 }
 
 // PlanStats counts how a Planner's matcher solves ran; the scheduling
@@ -307,7 +321,7 @@ func (p *Planner) PlanGreedy(ctx context.Context, clients []Client) (Schedule, e
 			p.cands = append(p.cands, greedyCand{i: i, j: j, t: e.t, mode: e.mode, scale: e.scale})
 		}
 	}
-	sort.Slice(p.cands, func(a, b int) bool { return p.cands[a].t < p.cands[b].t })
+	slices.SortFunc(p.cands, candByTime)
 
 	if n > cap(p.used) {
 		p.used = make([]bool, n)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -223,5 +225,39 @@ func TestPlannerTableReuseAfterCancelledPlan(t *testing.T) {
 	}
 	if math.Abs(got.Total-ref.Total) > 1e-6*ref.Total {
 		t.Fatalf("post-cancel total %v, want %v", got.Total, ref.Total)
+	}
+}
+
+// TestCandByTimeSortsLikeSortSlice: PlanGreedy's slices.SortFunc with
+// candByTime leaves candidates in exactly the order sort.Slice with
+// a.t < b.t did, equal times included — greedy picks the first of tied
+// pairs, so the tie order decides ablation-greedy's schedules. Lists are
+// tie-heavy (times drawn from a few values, some NaN), run from below
+// pdqsort's insertion-sort cutoff to 599 candidates, and a third of them
+// start as reversed runs.
+func TestCandByTimeSortsLikeSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(600)
+		distinct := 1 + rng.Intn(8)
+		cands := make([]greedyCand, n)
+		for k := range cands {
+			tm := float64(rng.Intn(distinct))
+			if rng.Intn(50) == 0 {
+				tm = math.NaN()
+			}
+			cands[k] = greedyCand{i: k, t: tm}
+		}
+		if trial%3 == 0 {
+			sort.Slice(cands, func(a, b int) bool { return cands[a].i > cands[b].i }) // reversed runs
+		}
+		want := append([]greedyCand(nil), cands...)
+		sort.Slice(want, func(a, b int) bool { return want[a].t < want[b].t })
+		slices.SortFunc(cands, candByTime)
+		for k := range cands {
+			if cands[k].i != want[k].i {
+				t.Fatalf("trial %d (n=%d): position %d holds candidate %d, sort.Slice put %d there", trial, n, k, cands[k].i, want[k].i)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/session"
 )
 
@@ -93,8 +94,8 @@ func (s *Server) handoffAttempt(ctx context.Context, addr, line string, transfer
 		return fmt.Errorf("reply %s: connection closed", addr)
 	}
 	var resp struct {
-		Transfer string `json:"transfer"`
-		Error    string `json:"error"`
+		serve.ErrorReply
+		handoffResponse
 	}
 	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
 		return fmt.Errorf("reply %s: %w", addr, err)

@@ -1,12 +1,10 @@
 package schedd
 
 import (
-	"bufio"
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/session"
 )
 
@@ -95,9 +94,10 @@ type Config struct {
 	// through it, so a fake clock sees exactly the daemon's time
 	// arithmetic.
 	now func() time.Time
-	// setReadDeadline applies a read deadline to a query connection. A
-	// test hook paired with now: fake-clock tests intercept it to check
-	// deadline arithmetic and bridge to real deadlines.
+	// setReadDeadline applies a read deadline to a query connection
+	// (default: the connection's own). A test hook paired with now:
+	// fake-clock tests intercept it to check deadline arithmetic and bridge
+	// to real deadlines.
 	setReadDeadline func(net.Conn, time.Time) error
 	// slowLevel is a test hook invoked before each ladder rung runs; tests
 	// use it to simulate pathological solver latency.
@@ -174,9 +174,6 @@ func (c Config) fillDefaults() Config {
 	if c.now == nil {
 		c.now = time.Now
 	}
-	if c.setReadDeadline == nil {
-		c.setReadDeadline = func(conn net.Conn, t time.Time) error { return conn.SetReadDeadline(t) }
-	}
 	return c
 }
 
@@ -193,14 +190,9 @@ type Server struct {
 	table     *clientTable
 	started   time.Time
 
-	udp *net.UDPConn
-	tcp net.Listener
-
-	queue    chan []byte
+	// front is the ingest socket and query listener (internal/serve).
+	front    *serve.Listener
 	inflight atomic.Int64
-	closing  atomic.Bool
-	killed   atomic.Bool // simulated crash: skip the shutdown drain
-	done     chan struct{}
 
 	// sessions is the durable session layer; sessionEvents counts its
 	// lifecycle outcomes and recoveryHist times startup recovery.
@@ -226,12 +218,6 @@ type Server struct {
 	// short, aborting in-flight ladder solves whose clients are gone.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
-
-	wg     sync.WaitGroup // reader, worker, acceptor
-	connWG sync.WaitGroup // per-connection handlers
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
 
 	// planners holds one warm-startable sched.Planner per AP, so repeated
 	// queries for a mostly-stable client population reuse the cost table
@@ -297,18 +283,9 @@ func sessionEventNames() []string {
 // Start binds the sockets and launches the serving goroutines.
 func Start(cfg Config) (*Server, error) {
 	cfg = cfg.fillDefaults()
-	uaddr, err := net.ResolveUDPAddr("udp", cfg.UDPAddr)
+	front, err := serve.Listen(cfg.UDPAddr, cfg.TCPAddr)
 	if err != nil {
-		return nil, fmt.Errorf("schedd: resolving UDP addr: %w", err)
-	}
-	udp, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		return nil, fmt.Errorf("schedd: binding UDP: %w", err)
-	}
-	tcp, err := net.Listen("tcp", cfg.TCPAddr)
-	if err != nil {
-		udp.Close()
-		return nil, fmt.Errorf("schedd: binding TCP: %w", err)
+		return nil, fmt.Errorf("schedd: %w", err)
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -318,11 +295,7 @@ func Start(cfg Config) (*Server, error) {
 			obs.DefLatencyBuckets(), nil),
 		table:    newClientTable(cfg.TTL, cfg.MaxClients, cfg.MaxAPs),
 		started:  cfg.now(),
-		udp:      udp,
-		tcp:      tcp,
-		queue:    make(chan []byte, cfg.QueueDepth),
-		done:     make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
+		front:    front,
 		planners: make(map[uint32]*apPlanner),
 		plannerEvents: cfg.Registry.Group("sicschedd_planner_total",
 			"per-AP planner reuse: how each query's optimal solve ran", "path",
@@ -342,8 +315,7 @@ func Start(cfg Config) (*Server, error) {
 
 	var seed [16]byte
 	if _, err := cryptorand.Read(seed[:]); err != nil {
-		udp.Close()
-		tcp.Close()
+		front.Close()
 		return nil, fmt.Errorf("schedd: seeding transfer IDs: %w", err)
 	}
 	s.transferBase = binary.BigEndian.Uint64(seed[:8])
@@ -362,8 +334,7 @@ func Start(cfg Config) (*Server, error) {
 		SnapshotEvery: 4096,
 	}, recoverStart)
 	if err != nil {
-		udp.Close()
-		tcp.Close()
+		front.Close()
 		return nil, err
 	}
 	rec := s.sessions.Recovery()
@@ -381,18 +352,26 @@ func Start(cfg Config) (*Server, error) {
 
 	//lint:allow ctxfirst the daemon owns its queries' lifetimes; this is the one root context, cancelled by Shutdown
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	s.wg.Add(3)
-	go s.readLoop()
-	go s.decodeLoop()
-	go s.acceptLoop()
+	front.Serve(serve.Config{
+		QueueDepth:      cfg.QueueDepth,
+		IdleTimeout:     cfg.IdleTimeout,
+		Datagram:        s.ingest,
+		Command:         s.command,
+		Counters:        s.counters,
+		Read:            "ingest_datagrams",
+		Shed:            "ingest_shed",
+		Now:             cfg.now,
+		SetReadDeadline: cfg.setReadDeadline,
+		Hold:            cfg.holdIngest,
+	})
 	return s, nil
 }
 
 // UDPAddr returns the bound report-ingest address.
-func (s *Server) UDPAddr() net.Addr { return s.udp.LocalAddr() }
+func (s *Server) UDPAddr() net.Addr { return s.front.UDPAddr() }
 
 // TCPAddr returns the bound query address.
-func (s *Server) TCPAddr() net.Addr { return s.tcp.Addr() }
+func (s *Server) TCPAddr() net.Addr { return s.front.TCPAddr() }
 
 // Counters exposes the serving counters (live; also valid after Shutdown).
 func (s *Server) Counters() *obs.Group { return s.counters }
@@ -448,73 +427,8 @@ func (s *Server) plannerFor(ap uint32) *apPlanner {
 	return p
 }
 
-// readLoop pulls datagrams off the socket into the bounded ingest queue,
-// shedding oldest-first under pressure so a burst can never grow memory
-// without bound — fresher reports are worth strictly more than stale ones.
-func (s *Server) readLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, 512)
-	for {
-		n, _, err := s.udp.ReadFromUDP(buf)
-		if err != nil {
-			if s.closing.Load() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.counters.Inc("ingest_datagrams")
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		select {
-		case s.queue <- pkt:
-		default:
-			// Queue full: drop the oldest queued datagram to admit the new
-			// one. Two non-blocking steps; if the worker races us and makes
-			// room, so much the better.
-			select {
-			case <-s.queue:
-				s.counters.Inc("ingest_shed")
-			default:
-			}
-			select {
-			case s.queue <- pkt:
-			default:
-				s.counters.Inc("ingest_shed")
-			}
-		}
-	}
-}
-
-// decodeLoop drains the ingest queue: decode, count the reject reason or
-// fold the report into the client table.
-func (s *Server) decodeLoop() {
-	defer s.wg.Done()
-	if s.cfg.holdIngest != nil {
-		<-s.cfg.holdIngest
-	}
-	for {
-		select {
-		case pkt := <-s.queue:
-			s.ingest(pkt)
-		case <-s.done:
-			if s.killed.Load() {
-				// Simulated crash: queued datagrams die with the process.
-				return
-			}
-			// Drain whatever is already queued, then exit: shutdown flushes
-			// the pipeline rather than discarding it.
-			for {
-				select {
-				case pkt := <-s.queue:
-					s.ingest(pkt)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
+// ingest decodes one datagram and folds the report into the client table,
+// or counts the reason it was dropped.
 func (s *Server) ingest(pkt []byte) {
 	r, err := DecodeReport(pkt)
 	if err != nil {
@@ -558,56 +472,7 @@ func (s *Server) ingest(pkt []byte) {
 	s.counters.Inc("reports_ok")
 }
 
-// acceptLoop accepts query connections.
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.tcp.Accept()
-		if err != nil {
-			if s.closing.Load() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.mu.Lock()
-		if s.closing.Load() {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.connWG.Add(1)
-		go s.handleConn(conn)
-	}
-}
-
-func (s *Server) dropConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	conn.Close()
-}
-
-// armRead sets the idle read deadline for the next command, unless shutdown
-// has begun. Serialised with Shutdown's deadline nudge under mu so a handler
-// returning from an in-flight query can never overwrite the nudge and block
-// the drain on an idle read.
-func (s *Server) armRead(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closing.Load() {
-		return false
-	}
-	if err := s.cfg.setReadDeadline(conn, s.cfg.now().Add(s.cfg.IdleTimeout)); err != nil {
-		// A conn that cannot arm its idle deadline must not be read from
-		// unarmed; telling the handler to hang up is the safe failure.
-		return false
-	}
-	return true
-}
-
-// handleConn serves newline-delimited commands on one connection:
+// command answers one newline-delimited query command:
 //
 //	SCHED <apID>            -> one-line JSON schedule (or error) for the AP
 //	HEALTH                  -> one-line JSON counters + table occupancy
@@ -615,141 +480,80 @@ func (s *Server) armRead(conn net.Conn) bool {
 //	MOVE <station> <addr>   -> hand this station's session off to a peer
 //	EPOCH <n>               -> record the gateway's ring epoch (monotonic)
 //	QUIT                    -> close the connection
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.connWG.Done()
-	defer s.dropConn(conn)
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 4096), 4096)
-	for {
-		if !s.armRead(conn) {
-			enc.Encode(errorResponse{Error: "shutting down"})
-			return
+func (s *Server) command(fields []string) (reply any, quit bool) {
+	switch strings.ToUpper(fields[0]) {
+	case "QUIT":
+		return nil, true
+	case "HEALTH":
+		s.counters.Inc("health_queries")
+		aps, clients := s.table.occupancy(s.cfg.now())
+		return healthResponse{
+			UptimeMS:  s.cfg.now().Sub(s.started).Milliseconds(),
+			APs:       aps,
+			Clients:   clients,
+			Sessions:  s.sessions.Len(),
+			Counters:  s.counters.Snapshot(),
+			Shard:     s.cfg.ShardID,
+			Instance:  s.instance,
+			RingEpoch: s.ringEpoch.Load(),
+		}, false
+	case "EPOCH":
+		if len(fields) != 2 {
+			return s.badQuery("usage: EPOCH <n>"), false
 		}
-		if !sc.Scan() {
-			return
+		epoch, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return s.badQuery("bad epoch: " + fields[1]), false
 		}
-		if s.closing.Load() {
-			enc.Encode(errorResponse{Error: "shutting down"})
-			return
+		// Epochs only advance: a delayed push from a gateway that
+		// already moved on cannot rewind the shard's view.
+		for {
+			cur := s.ringEpoch.Load()
+			if epoch <= cur {
+				break
+			}
+			if s.ringEpoch.CompareAndSwap(cur, epoch) {
+				s.counters.Inc("epoch_updates")
+				break
+			}
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+		return epochResponse{RingEpoch: s.ringEpoch.Load()}, false
+	case "HANDOFF":
+		if len(fields) != 2 {
+			return s.badQuery("usage: HANDOFF <base64 transfer>"), false
 		}
-		fields := strings.Fields(line)
-		switch strings.ToUpper(fields[0]) {
-		case "QUIT":
-			return
-		case "HEALTH":
-			s.counters.Inc("health_queries")
-			aps, clients := s.table.occupancy(s.cfg.now())
-			enc.Encode(healthResponse{
-				UptimeMS:  s.cfg.now().Sub(s.started).Milliseconds(),
-				APs:       aps,
-				Clients:   clients,
-				Sessions:  s.sessions.Len(),
-				Counters:  s.counters.Snapshot(),
-				Shard:     s.cfg.ShardID,
-				Instance:  s.instance,
-				RingEpoch: s.ringEpoch.Load(),
-			})
-		case "EPOCH":
-			if len(fields) != 2 {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "usage: EPOCH <n>"})
-				continue
-			}
-			epoch, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "bad epoch: " + fields[1]})
-				continue
-			}
-			// Epochs only advance: a delayed push from a gateway that
-			// already moved on cannot rewind the shard's view.
-			for {
-				cur := s.ringEpoch.Load()
-				if epoch <= cur {
-					break
-				}
-				if s.ringEpoch.CompareAndSwap(cur, epoch) {
-					s.counters.Inc("epoch_updates")
-					break
-				}
-			}
-			enc.Encode(epochResponse{RingEpoch: s.ringEpoch.Load()})
-		case "HANDOFF":
-			if len(fields) != 2 {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "usage: HANDOFF <base64 transfer>"})
-				continue
-			}
-			enc.Encode(s.serveHandoff(fields[1]))
-		case "MOVE":
-			if len(fields) != 3 {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "usage: MOVE <station> <host:port>"})
-				continue
-			}
-			sta, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "bad station id: " + fields[1]})
-				continue
-			}
-			transfer, err := s.Handoff(s.baseCtx, uint32(sta), fields[2])
-			if err != nil {
-				enc.Encode(errorResponse{Error: err.Error()})
-				continue
-			}
-			enc.Encode(moveResponse{Station: uint32(sta), Transfer: fmt.Sprintf("%016x", transfer)})
-		case "SCHED":
-			if len(fields) != 2 {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "usage: SCHED <apID>"})
-				continue
-			}
-			ap, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "bad AP id: " + fields[1]})
-				continue
-			}
-			enc.Encode(s.serveSched(uint32(ap)))
-		default:
-			s.counters.Inc("query_bad")
-			enc.Encode(errorResponse{Error: "unknown command " + fields[0]})
+		return s.serveHandoff(fields[1]), false
+	case "MOVE":
+		if len(fields) != 3 {
+			return s.badQuery("usage: MOVE <station> <host:port>"), false
 		}
+		sta, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil {
+			return s.badQuery("bad station id: " + fields[1]), false
+		}
+		transfer, err := s.Handoff(s.baseCtx, uint32(sta), fields[2])
+		if err != nil {
+			return serve.ErrorReply{Error: err.Error()}, false
+		}
+		return moveResponse{Station: uint32(sta), Transfer: fmt.Sprintf("%016x", transfer)}, false
+	case "SCHED":
+		if len(fields) != 2 {
+			return s.badQuery("usage: SCHED <apID>"), false
+		}
+		ap, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil {
+			return s.badQuery("bad AP id: " + fields[1]), false
+		}
+		return s.serveSched(uint32(ap)), false
+	default:
+		return s.badQuery("unknown command " + fields[0]), false
 	}
 }
 
-// errorResponse is the error shape of every query reply; RetryAfterMS is
-// set only on overload shedding.
-type errorResponse struct {
-	Error        string `json:"error"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-// slotResponse is one schedule slot in a query reply.
-type slotResponse struct {
-	Mode  string  `json:"mode"`
-	A     uint32  `json:"a"`
-	B     uint32  `json:"b,omitempty"`
-	Scale float64 `json:"scale,omitempty"`
-	MS    float64 `json:"ms"`
-}
-
-// schedResponse is a successful schedule reply. Level records the
-// degradation-ladder rung that answered.
-type schedResponse struct {
-	AP      uint32         `json:"ap"`
-	Level   string         `json:"level"`
-	Clients int            `json:"clients"`
-	TotalMS float64        `json:"total_ms"`
-	Gain    float64        `json:"gain"`
-	Slots   []slotResponse `json:"slots"`
-	ElapsMS float64        `json:"elapsed_ms"`
+// badQuery counts a malformed query line and returns its error reply.
+func (s *Server) badQuery(msg string) serve.ErrorReply {
+	s.counters.Inc("query_bad")
+	return serve.ErrorReply{Error: msg}
 }
 
 // healthResponse answers HEALTH. APs/Clients count fresh schedulable
@@ -796,12 +600,12 @@ func (s *Server) serveHandoff(b64 string) any {
 	raw, err := base64.StdEncoding.DecodeString(b64)
 	if err != nil {
 		s.counters.Inc("query_bad")
-		return errorResponse{Error: "handoff: bad base64: " + err.Error()}
+		return serve.ErrorReply{Error: "handoff: bad base64: " + err.Error()}
 	}
 	transfer, st, err := session.DecodeHandoff(raw)
 	if err != nil {
 		s.counters.Inc("query_bad")
-		return errorResponse{Error: err.Error()}
+		return serve.ErrorReply{Error: err.Error()}
 	}
 	now := s.cfg.now()
 	applied := s.sessions.ApplyHandoff(transfer, st, now)
@@ -823,7 +627,7 @@ func (s *Server) serveSched(ap uint32) any {
 	if s.inflight.Add(1) > int64(s.cfg.MaxInflight) {
 		s.inflight.Add(-1)
 		s.counters.Inc("query_overload")
-		return errorResponse{
+		return serve.ErrorReply{
 			Error:        "overloaded",
 			RetryAfterMS: s.cfg.RetryAfter.Milliseconds(),
 		}
@@ -834,7 +638,7 @@ func (s *Server) serveSched(ap uint32) any {
 	clients, ids := s.table.snapshot(ap, start)
 	if len(clients) == 0 {
 		s.counters.Inc("served_empty")
-		return errorResponse{Error: fmt.Sprintf("no fresh reports for ap %d", ap)}
+		return serve.ErrorReply{Error: fmt.Sprintf("no fresh reports for ap %d", ap)}
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.QueryDeadline)
 	defer cancel()
@@ -863,13 +667,13 @@ func (s *Server) serveSched(ap uint32) any {
 	}
 	if err != nil {
 		s.counters.Inc("query_failed")
-		return errorResponse{Error: err.Error()}
+		return serve.ErrorReply{Error: err.Error()}
 	}
 	s.counters.Inc("served_" + res.level.String())
 	elapsed := s.cfg.now().Sub(start)
 	s.queryHist.Observe(elapsed.Seconds())
 
-	resp := schedResponse{
+	resp := SchedReply{
 		AP:      ap,
 		Level:   res.level.String(),
 		Clients: len(clients),
@@ -878,7 +682,7 @@ func (s *Server) serveSched(ap uint32) any {
 		ElapsMS: float64(elapsed.Microseconds()) / 1e3,
 	}
 	for _, sl := range res.schedule.Slots {
-		out := slotResponse{
+		out := Slot{
 			Mode: sl.Mode.String(),
 			A:    ids[sl.A],
 			MS:   sl.Time * 1e3,
@@ -901,52 +705,21 @@ func (s *Server) serveSched(ap uint32) any {
 // Shutdown stops the daemon gracefully: ingest sockets close, the queued
 // datagrams already accepted are flushed into the table, in-flight queries
 // run to completion, and idle connections are released. If ctx expires
-// before the drain completes, remaining connections are force-closed. The
-// counters survive shutdown for a final flush.
+// before the drain completes, in-flight ladder solves are aborted and the
+// remaining connections force-closed. The counters survive shutdown for a
+// final flush.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if s.closing.Swap(true) {
-		return errors.New("schedd: already shut down")
+	err := s.front.Shutdown(ctx, s.cancelBase)
+	if errors.Is(err, serve.ErrClosed) {
+		return fmt.Errorf("schedd: %w", err)
 	}
-	s.udp.Close()
-	s.tcp.Close()
-	close(s.done)
-	s.wg.Wait()
-
-	// Nudge idle connection handlers out of their blocking reads; handlers
-	// mid-query are not reading and will finish their response first.
-	s.mu.Lock()
-	for conn := range s.conns {
-		if err := s.cfg.setReadDeadline(conn, s.cfg.now()); err != nil {
-			// The nudge did not land, so the idle read it was meant to wake
-			// may never return; close outright rather than hang the drain.
-			conn.Close()
-		}
+	s.cancelBase()
+	if err != nil {
+		return errors.Join(fmt.Errorf("schedd: %w", err), s.sessions.Close())
 	}
-	s.mu.Unlock()
-
-	drained := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-		s.cancelBase()
-		// A clean close compacts: the WAL empties and the snapshot alone
-		// restores the table at next start.
-		return s.sessions.Close()
-	case <-ctx.Done():
-		// The drain deadline passed: abort in-flight ladder solves via the
-		// base context and force-close the connections they would answer.
-		s.cancelBase()
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
-		<-drained
-		return errors.Join(fmt.Errorf("schedd: drain cut short: %w", ctx.Err()), s.sessions.Close())
-	}
+	// A clean close compacts: the WAL empties and the snapshot alone
+	// restores the table at next start.
+	return s.sessions.Close()
 }
 
 // Instance returns the per-boot random nonce echoed in HEALTH responses.
@@ -963,20 +736,7 @@ func (s *Server) RingEpoch() uint64 { return s.ringEpoch.Load() }
 //
 //lint:allow ctxfirst a simulated crash must not be cancellable: the waits here are process teardown, and a ctx would soften the failure being modelled
 func (s *Server) Kill() {
-	s.killed.Store(true)
-	if s.closing.Swap(true) {
-		return
+	if s.front.Kill(s.cancelBase) == nil {
+		s.sessions.Kill()
 	}
-	s.udp.Close()
-	s.tcp.Close()
-	close(s.done)
-	s.wg.Wait()
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.cancelBase()
-	s.connWG.Wait()
-	s.sessions.Kill()
 }

@@ -14,9 +14,14 @@
 //     own time budget, so a slow or pathological instance can never hold the
 //     serving loop past its deadline. Every response records which rung
 //     answered.
-//   - Load is shed instead of queued without bound (server.go): the ingest
-//     queue is bounded with oldest-first drop, and query admission control
-//     answers "overloaded + retry-after" once the in-flight limit is hit.
+//   - Load is shed instead of queued without bound: the ingest queue
+//     (internal/serve, shared with the gateway) is bounded with
+//     oldest-first drop, and query admission control (server.go) answers
+//     "overloaded + retry-after" once the in-flight limit is hit.
+//
+// This file also declares the SCHED reply, the one query reply both tiers
+// exchange: shards write it, and the gateway decodes it and re-emits its
+// slots.
 package schedd
 
 import (
@@ -62,6 +67,30 @@ type Report struct {
 	AP, Station uint32
 	Seq         uint32
 	SNRMilliDB  int32
+}
+
+// SchedReply is a successful SCHED reply. Level records the
+// degradation-ladder rung that answered. Errors are answered with
+// serve.ErrorReply instead.
+type SchedReply struct {
+	AP      uint32  `json:"ap"`
+	Level   string  `json:"level"`
+	Clients int     `json:"clients"`
+	TotalMS float64 `json:"total_ms"`
+	Gain    float64 `json:"gain"`
+	Slots   []Slot  `json:"slots"`
+	ElapsMS float64 `json:"elapsed_ms"`
+}
+
+// Slot is one schedule slot in a SCHED reply. B and Scale are omitted for
+// a single-station slot: station 0 is invalid on the wire, so B == 0 is
+// unambiguous.
+type Slot struct {
+	Mode  string  `json:"mode"`
+	A     uint32  `json:"a"`
+	B     uint32  `json:"b,omitempty"`
+	Scale float64 `json:"scale,omitempty"`
+	MS    float64 `json:"ms"`
 }
 
 // Decode reject reasons, one per counter. Keeping them as errors (rather
