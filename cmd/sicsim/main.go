@@ -2,8 +2,8 @@
 // configurable upload scenario under both the serial CSMA baseline and the
 // SIC-aware scheduled MAC, and reports the end-to-end comparison. With
 // -emu (implied by any fault flag) it additionally drains the same
-// scenario through the live goroutine emulator, optionally over a faulty
-// medium.
+// scenario through the trigger-protocol emulator, which exchanges real
+// frames over an optionally faulty medium.
 //
 // Usage:
 //
@@ -41,7 +41,7 @@ func main() {
 		powerCtl    = flag.Bool("power-control", false, "enable per-pair power reduction in the scheduler")
 		seed        = flag.Int64("seed", 1, "backoff and fault-injection randomness seed")
 		capturePath = flag.String("capture", "", "record the scheduled run's frames to this file (inspect with sicdump)")
-		emuRun      = flag.Bool("emu", false, "also drain the scenario through the live goroutine emulator")
+		emuRun      = flag.Bool("emu", false, "also drain the scenario through the trigger-protocol emulator")
 		loss        = flag.Float64("loss", 0, "emulator medium: per-frame loss probability (implies -emu)")
 		corrupt     = flag.Float64("corrupt", 0, "emulator medium: per-frame payload bit-flip probability (implies -emu)")
 		stall       = flag.Float64("stall", 0, "emulator stations: per-trigger stall probability (implies -emu)")
@@ -144,8 +144,8 @@ func main() {
 	}
 }
 
-// runEmulator drains the scenario through the live goroutine emulator over
-// a (possibly faulty) medium and reports drain airtime plus the failure
+// runEmulator drains the scenario through the trigger-protocol emulator
+// over a (possibly faulty) medium and reports drain airtime plus the failure
 // counters.
 func runEmulator(stations []mac.Station, cfg mac.Config, opts sched.Options,
 	loss, corrupt, stall float64, stallSlots, total int) {

@@ -1,12 +1,13 @@
-// Live: the SIC-aware upload MAC as a running concurrent system.
+// Live: the SIC-aware upload MAC run as its trigger protocol.
 //
-// Unlike the event-driven simulator (examples/uplink), here the AP and
-// every station are goroutines exchanging real wire-format frames over a
-// simulated medium: the AP computes a schedule, fires per-slot trigger
-// frames (commanding each station's power scale and bitrate, the way an
-// 802.11ax trigger frame would), the addressed stations independently
-// transmit, and the medium superposes their signals for the AP's SIC
-// receiver. The run honours context cancellation and is deterministic.
+// Unlike the event-driven simulator (examples/uplink), which times an
+// announced schedule analytically, here the AP and its stations exchange
+// real wire-format frames over a simulated medium: the AP computes a
+// schedule, fires per-slot trigger frames (commanding each station's power
+// scale and bitrate, the way an 802.11ax trigger frame would), the
+// addressed stations transmit, and the medium superposes their signals for
+// the AP's SIC receiver. The run honours context cancellation and is
+// deterministic.
 //
 // Run with: go run ./examples/live
 package main
@@ -43,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("== live emulation (goroutine AP + stations, trigger-based uplink) ==")
+	fmt.Println("== live emulation (AP + stations exchanging frames, trigger-based uplink) ==")
 	for _, s := range stations {
 		fmt.Printf("station %d: delivered %d/%d frames\n", s.ID, res.Delivered[s.ID], s.Backlog)
 	}

@@ -65,7 +65,7 @@ const defaultMaxRetries = 3
 //
 // The loop ends when every station reports an empty queue.
 func runAP(ctx context.Context, stations []mac.Station, actors map[uint32]*stationActor,
-	med *medium, opts sched.Options, cfg Config, errc <-chan error) (Result, error) {
+	med *medium, opts sched.Options, cfg Config) (Result, error) {
 
 	res := Result{Delivered: map[uint32]int{}}
 	var order []uint32
@@ -108,29 +108,25 @@ func runAP(ctx context.Context, stations []mac.Station, actors map[uint32]*stati
 		return slotSeq, nil
 	}
 
-	// deliver pushes a frame into a station's inbox without deadlocking on
-	// teardown. The fault model may drop the frame in transit: a lost
-	// poll/trigger leaves its slot empty (the medium is told the station
-	// will not show), a lost ACK is simply gone — the station re-reports
-	// its backlog and retransmits, and duplicate suppression absorbs it.
-	// salt is the soliciting slot's sequence number, so a re-sent ACK for
-	// the same data frame re-rolls its fate.
+	// deliver hands a frame to its station, which handles it before deliver
+	// returns. The fault model may drop the frame in transit: a lost
+	// poll/trigger leaves its slot empty (the medium marks the station
+	// absent), a lost ACK is simply gone — the station re-reports its
+	// backlog and retransmits, and duplicate suppression absorbs it. salt
+	// is the soliciting slot's sequence number, so a re-sent ACK for the
+	// same data frame re-rolls its fate.
 	deliver := func(id uint32, f *frame.Frame, salt uint32) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if med.faults != nil && med.faults.dropFrame(f.Type, id, salt) {
 			res.Faults.FramesLost++
 			if f.Type == frame.TypePoll {
-				return med.absent(slotKey(f.Seq), id)
+				return med.markAbsent(slotKey(f.Seq), id)
 			}
 			return nil
 		}
-		select {
-		case actors[id].inbox <- f:
-			return nil
-		case err := <-errc:
-			return err
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		return actors[id].handleFrame(f)
 	}
 
 	// plannedAirtime is how long the slot is scheduled to occupy the
@@ -154,11 +150,11 @@ func runAP(ctx context.Context, stations []mac.Station, actors map[uint32]*stati
 		return longest
 	}
 
-	// execSlot triggers the planned transmitters and waits for the medium;
-	// data=false marks poll/report slots whose airtime is overhead.
+	// execSlot opens a slot, triggers the planned transmitters and
+	// resolves the slot; data=false marks poll/report slots whose airtime
+	// is overhead.
 	execSlot := func(seq uint32, txs []plannedTx, data bool) (*slotResult, error) {
-		key := slotKey(seq)
-		done := med.expect(key, len(txs))
+		med.openSlot(slotKey(seq))
 		for _, tx := range txs {
 			var payload []byte
 			if data {
@@ -192,19 +188,13 @@ func runAP(ctx context.Context, stations []mac.Station, actors map[uint32]*stati
 				return nil, err
 			}
 		}
-		select {
-		case r := <-done:
-			if data {
-				res.AirtimeData += r.airtime
-			} else {
-				res.AirtimeOverhead += r.airtime
-			}
-			return &r, nil
-		case err := <-errc:
-			return nil, err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		r := med.resolve()
+		if data {
+			res.AirtimeData += r.airtime
+		} else {
+			res.AirtimeOverhead += r.airtime
 		}
+		return &r, nil
 	}
 
 	// runTxs solicits txs in one slot and re-solicits transmitters that

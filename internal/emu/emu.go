@@ -1,16 +1,20 @@
-// Package emu runs the SIC-aware upload MAC as a *live* concurrent system:
-// the access point and every station are goroutines exchanging marshalled
-// frames over a simulated radio medium, in the style of a real network
-// stack (inbox channels, context cancellation, graceful shutdown).
+// Package emu runs the SIC-aware upload MAC as a trigger-frame protocol
+// over a faulty simulated medium. The access point polls its stations for
+// backlog, computes a schedule (package sched) and fires per-slot trigger
+// frames commanding each station's power scale and bitrate; the addressed
+// stations answer with data frames, which the medium superposes and hands
+// to the AP's SIC receiver. Every frame is real: marshalled, CRC-32
+// protected and decoded.
 //
-// Where package mac advances a single-threaded event loop, emu exercises
-// the protocol itself: the AP polls for backlog, computes a schedule
-// (package sched), broadcasts it, then fires per-slot trigger frames; the
-// addressed stations independently transmit data frames, which the medium
-// superposes and hands to the AP's SIC receiver. Virtual time lives in the
-// medium and advances per reception, so the run is deterministic despite
-// the concurrency — the same topology must reproduce package mac's data
-// airtime exactly (see the tests).
+// Where package mac times an announced schedule analytically, emu runs
+// the protocol itself, with lost, corrupted and stalled frames, bounded
+// retries, duplicate suppression and partial results. The AP drives its
+// stations in lock-step: each frame it sends is handled by the addressed
+// station before the AP moves on, and the medium holds only the slot in
+// progress. Virtual time advances per slot, so a run is a pure function
+// of its stations and Config; on a perfect medium it reproduces package
+// mac's data airtime within the kbit/s quantisation of commanded rates
+// (see the tests).
 package emu
 
 import (
@@ -18,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/frame"
 	"repro/internal/mac"
@@ -110,43 +113,31 @@ type slotResult struct {
 	crc     int      // how many of failed were CRC rejects
 }
 
-// medium superposes concurrent transmissions; the AP accounts virtual time
-// from each slot's airtime.
+// medium superposes the transmissions of the slot in progress; the AP
+// accounts virtual time from each slot's airtime. The AP opens a slot,
+// each station it solicits transmits into it or is marked absent, and
+// resolve decodes it. With no slot open, the medium rejects every
+// transmission and absence report.
 type medium struct {
 	rx     mac.SICReceiver
 	faults *faultState // nil on a perfect channel
 
-	mu      sync.Mutex
-	pending map[slotKey]*pendingSlot
+	open   bool
+	slot   slotKey
+	got    []transmission
+	absent []uint32
 }
 
-type pendingSlot struct {
-	expected int
-	got      []transmission
-	absent   []uint32
-	done     chan slotResult
+// openSlot starts the slot the AP is about to trigger.
+func (m *medium) openSlot(key slotKey) {
+	m.open, m.slot, m.got, m.absent = true, key, nil, nil
 }
 
-// expect registers a slot the AP is about to trigger; the returned channel
-// yields the slot's outcome once all expected transmissions arrive or are
-// reported absent.
-func (m *medium) expect(key slotKey, n int) <-chan slotResult {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps := &pendingSlot{expected: n, done: make(chan slotResult, 1)}
-	m.pending[key] = ps
-	return ps.done
-}
-
-// transmit delivers one station's frame into its slot; the completing
-// transmission triggers decoding. The fault model may mark the frame lost
-// (a deep fade: the air is occupied but the AP hears nothing) or flip a
-// payload bit so the CRC check rejects it.
+// transmit puts one station's frame on the air in the open slot. The fault
+// model may mark the frame lost (a deep fade: the air is occupied but the
+// AP hears nothing) or flip a payload bit so the CRC check rejects it.
 func (m *medium) transmit(tx transmission) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps, ok := m.pending[tx.slot]
-	if !ok {
+	if !m.open || tx.slot != m.slot {
 		return fmt.Errorf("emu: transmission for unknown slot %d", tx.slot)
 	}
 	if m.faults != nil {
@@ -156,35 +147,25 @@ func (m *medium) transmit(tx transmission) error {
 			tx.wire = m.faults.corruptWire(tx.wire, tx.station, uint32(tx.slot))
 		}
 	}
-	ps.got = append(ps.got, tx)
-	m.resolveLocked(tx.slot, ps)
+	m.got = append(m.got, tx)
 	return nil
 }
 
-// absent records that a solicited station will never transmit in the slot
-// (its trigger was lost, or it is stalled); the slot resolves once every
-// expected transmitter has either arrived or been declared absent. This is
-// emulation machinery, not protocol: it stands in for the AP's carrier
-// sense timing out on an idle slot without blocking virtual time.
-func (m *medium) absent(key slotKey, station uint32) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps, ok := m.pending[key]
-	if !ok {
+// markAbsent records that a solicited station will not transmit in the
+// open slot (its trigger was lost, or it is stalled). This is emulation
+// machinery, not protocol: it stands in for the AP's carrier sense timing
+// out on an idle slot.
+func (m *medium) markAbsent(key slotKey, station uint32) error {
+	if !m.open || key != m.slot {
 		return fmt.Errorf("emu: absence report for unknown slot %d", key)
 	}
-	ps.absent = append(ps.absent, station)
-	m.resolveLocked(key, ps)
+	m.absent = append(m.absent, station)
 	return nil
 }
 
-// resolveLocked decodes and completes the slot once all expected
-// transmitters are accounted for. Callers hold m.mu.
-func (m *medium) resolveLocked(key slotKey, ps *pendingSlot) {
-	if len(ps.got)+len(ps.absent) < ps.expected {
-		return
-	}
-	delete(m.pending, key)
+// resolve closes the open slot and decodes what was on the air.
+func (m *medium) resolve() slotResult {
+	m.open = false
 
 	// Superpose the frames actually on the air. Lost frames occupy airtime
 	// (their transmitter cannot know the fade) but contribute no signal at
@@ -192,7 +173,7 @@ func (m *medium) resolveLocked(key slotKey, ps *pendingSlot) {
 	var arrivals []mac.Arrival
 	var heard []transmission
 	airtime := 0.0
-	for _, g := range ps.got {
+	for _, g := range m.got {
 		if t := txAirtime(g); t > airtime {
 			airtime = t
 		}
@@ -202,15 +183,15 @@ func (m *medium) resolveLocked(key slotKey, ps *pendingSlot) {
 		arrivals = append(arrivals, mac.Arrival{StationID: g.station, SNR: g.snr, RateBps: g.rate})
 		heard = append(heard, g)
 	}
-	ok2 := m.rx.Decode(arrivals)
-	res := slotResult{airtime: airtime, absent: ps.absent}
-	for _, g := range ps.got {
+	ok := m.rx.Decode(arrivals)
+	res := slotResult{airtime: airtime, absent: m.absent}
+	for _, g := range m.got {
 		if g.lost {
 			res.lost = append(res.lost, g.station)
 		}
 	}
 	for i, g := range heard {
-		if !ok2[i] {
+		if !ok[i] {
 			res.failed = append(res.failed, g.station)
 			continue
 		}
@@ -224,7 +205,7 @@ func (m *medium) resolveLocked(key slotKey, ps *pendingSlot) {
 		}
 		res.decoded = append(res.decoded, f)
 	}
-	ps.done <- res
+	return res
 }
 
 // txAirtime is the frame's airtime at its transmit rate.
@@ -237,57 +218,35 @@ func txAirtime(tx transmission) float64 {
 	return float64(len(tx.wire)*8) / tx.rate
 }
 
-// stationActor is one uploading client goroutine.
+// stationActor is one uploading client: its queue, the sequence number of
+// its head frame and its stall state. The AP hands it every frame that
+// reaches it through handleFrame.
 type stationActor struct {
 	id      uint32
 	snr     float64
 	backlog int
 
-	inbox chan *frame.Frame
-	med   *medium
-	ch    phy.Channel
-	bits  float64
+	med  *medium
+	ch   phy.Channel
+	bits float64
 	// seq numbers the head-of-queue frame and advances only on its ACK, so
 	// a retransmission (after a failed decode or a lost ACK) reuses the
 	// same sequence number and the AP can suppress duplicates.
-	seq    uint32
-	faults *faultState
+	seq uint32
 	// stallLeft counts remaining frames this station ignores while frozen
-	// by an injected stall fault; stallCount totals the stall events, read
-	// by Run only after the actor goroutine exits.
+	// by an injected stall fault; stallCount totals the stall events.
 	stallLeft  int
 	stallCount int
 }
 
-// run processes triggers until the context ends or the inbox closes.
-func (s *stationActor) run(ctx context.Context, errc chan<- error) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case f, ok := <-s.inbox:
-			if !ok {
-				return
-			}
-			if err := s.handleFrame(f); err != nil {
-				select {
-				case errc <- err:
-				default:
-				}
-				return
-			}
-		}
-	}
-}
-
 // handleFrame dispatches one received frame, applying stall faults first: a
 // frozen station ignores everything, but must still tell the medium that
-// its solicited slots stay empty so virtual time can move on.
+// its solicited slots stay empty.
 func (s *stationActor) handleFrame(f *frame.Frame) error {
 	if s.stallLeft > 0 {
 		s.stallLeft--
 		if f.Type == frame.TypePoll {
-			return s.med.absent(slotKey(f.Seq), s.id)
+			return s.med.markAbsent(slotKey(f.Seq), s.id)
 		}
 		return nil
 	}
@@ -302,11 +261,11 @@ func (s *stationActor) handleFrame(f *frame.Frame) error {
 		}
 		return nil
 	case frame.TypePoll:
-		if s.faults != nil {
-			if n := s.faults.stallFor(s.id, f.Seq); n > 0 {
+		if s.med.faults != nil {
+			if n := s.med.faults.stallFor(s.id, f.Seq); n > 0 {
 				s.stallCount++
 				s.stallLeft = n - 1 // this trigger is the first missed frame
-				return s.med.absent(slotKey(f.Seq), s.id)
+				return s.med.markAbsent(slotKey(f.Seq), s.id)
 			}
 		}
 		return s.handleTrigger(f)
@@ -339,7 +298,7 @@ func (s *stationActor) handleTrigger(f *frame.Frame) error {
 		// The AP triggered on a stale backlog estimate (its poll or our
 		// report was lost). Nothing is queued, so the slot stays empty
 		// rather than fabricating a frame past the queue's end.
-		return s.med.absent(key, s.id)
+		return s.med.markAbsent(key, s.id)
 	}
 
 	snr := s.snr * e.WeakScale()
@@ -402,6 +361,9 @@ func Run(ctx context.Context, stations []mac.Station, cfg Config) (Result, error
 	if cfg.MaxRounds < 0 {
 		return Result{}, errors.New("emu: MaxRounds must be non-negative")
 	}
+	if err := mac.ValidateStations(stations); err != nil {
+		return Result{}, fmt.Errorf("emu: %w", err)
+	}
 	opts := cfg.Sched
 	if opts.Channel.BandwidthHz <= 0 {
 		opts.Channel = cfg.Channel
@@ -412,51 +374,23 @@ func Run(ctx context.Context, stations []mac.Station, cfg Config) (Result, error
 
 	faults := newFaultState(cfg.Faults, cfg.Seed)
 	med := &medium{
-		rx:      mac.SICReceiver{Channel: cfg.Channel, Residual: cfg.Residual},
-		faults:  faults,
-		pending: map[slotKey]*pendingSlot{},
+		rx:     mac.SICReceiver{Channel: cfg.Channel, Residual: cfg.Residual},
+		faults: faults,
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	errc := make(chan error, len(stations))
 	actors := make(map[uint32]*stationActor, len(stations))
-	var wg sync.WaitGroup
 	for _, st := range stations {
-		if st.ID == 0 || st.ID == frame.Broadcast {
-			return Result{}, fmt.Errorf("emu: invalid station id %d", st.ID)
-		}
-		if _, dup := actors[st.ID]; dup {
-			return Result{}, fmt.Errorf("emu: duplicate station id %d", st.ID)
-		}
-		a := &stationActor{
+		actors[st.ID] = &stationActor{
 			id: st.ID, snr: st.SNR, backlog: st.Backlog,
-			inbox: make(chan *frame.Frame, 8),
-			med:   med, ch: cfg.Channel, bits: cfg.PacketBits,
-			faults: faults,
+			med: med, ch: cfg.Channel, bits: cfg.PacketBits,
 		}
-		actors[st.ID] = a
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a.run(ctx, errc)
-		}()
 	}
-	defer func() {
-		cancel()
-		wg.Wait()
-	}()
 
-	res, err := runAP(ctx, stations, actors, med, opts, cfg, errc)
-	cancel()
-	wg.Wait()
+	res, err := runAP(ctx, stations, actors, med, opts, cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	// Stalls are injected station-side and indistinguishable from lost
-	// triggers at the AP, so the actors' own counts fill that counter;
-	// safe to read now that every actor goroutine has exited.
+	// triggers at the AP, so the stations' own counts fill that counter.
 	for _, a := range actors {
 		res.Faults.Stalls += a.stallCount
 	}

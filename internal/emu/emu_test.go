@@ -3,6 +3,7 @@ package emu
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,12 @@ func TestEmuValidation(t *testing.T) {
 	}, emuCfg()); err == nil {
 		t.Error("duplicate ids accepted")
 	}
+	for _, snr := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := Run(ctx, []mac.Station{{ID: 1, SNR: snr, Backlog: 1}}, emuCfg())
+		if err == nil || !strings.Contains(err.Error(), "invalid SNR") {
+			t.Errorf("SNR %v: Run = %v, want an invalid-SNR error", snr, err)
+		}
+	}
 }
 
 func TestEmuDrainsEverything(t *testing.T) {
@@ -76,10 +83,10 @@ func TestEmuDrainsEverything(t *testing.T) {
 	}
 }
 
-// The live concurrent emulation must reproduce the event-driven simulator's
-// data airtime — the protocol is the same, only the execution machinery
-// differs. Commanded rates are quantised to kbit/s on the trigger frame, so
-// allow that much slack.
+// The emulation must reproduce the event-driven simulator's data airtime —
+// the protocol is the same, only the execution machinery differs.
+// Commanded rates are quantised to kbit/s on the trigger frame, so allow
+// that much slack.
 func TestEmuMatchesEventSimulator(t *testing.T) {
 	sts := emuStations(2, 32, 16, 28, 13, 24, 11)
 	emuRes, err := Run(context.Background(), sts, emuCfg())
@@ -225,39 +232,58 @@ func TestTxAirtimeZeroRate(t *testing.T) {
 }
 
 func TestMediumRejectsUnknownSlot(t *testing.T) {
-	med := &medium{pending: map[slotKey]*pendingSlot{}}
-	err := med.transmit(transmission{slot: slotKey(99)})
-	if err == nil {
-		t.Error("transmission into unregistered slot accepted")
+	med := &medium{}
+	if err := med.transmit(transmission{slot: slotKey(99)}); err == nil {
+		t.Error("transmission with no slot open accepted")
 	}
-	if err := med.absent(slotKey(99), 1); err == nil {
-		t.Error("absence report for unregistered slot accepted")
+	if err := med.markAbsent(slotKey(99), 1); err == nil {
+		t.Error("absence report with no slot open accepted")
+	}
+	med.openSlot(slotKey(1))
+	if err := med.transmit(transmission{slot: slotKey(99)}); err == nil {
+		t.Error("transmission into a slot other than the open one accepted")
+	}
+	if err := med.markAbsent(slotKey(99), 1); err == nil {
+		t.Error("absence report for a slot other than the open one accepted")
+	}
+	if err := med.transmit(transmission{slot: slotKey(1), station: 1}); err != nil {
+		t.Errorf("transmission into the open slot: %v", err)
+	}
+	med.resolve()
+	if err := med.markAbsent(slotKey(1), 2); err == nil {
+		t.Error("absence report for a resolved slot accepted")
 	}
 }
 
 func TestStationRejectsBadTrigger(t *testing.T) {
-	s := &stationActor{id: 7, snr: 100, ch: phy.Wifi20MHz, bits: 12000,
-		med: &medium{pending: map[slotKey]*pendingSlot{}}}
+	// A queued frame and an open slot, so each bad trigger below fails on
+	// its own check rather than on an empty queue or an unknown slot.
+	med := &medium{}
+	med.openSlot(slotKey(1))
+	s := &stationActor{id: 7, snr: 100, backlog: 1, ch: phy.Wifi20MHz, bits: 12000, med: med}
 	// Garbage payload.
-	bad := &frame.Frame{Type: frame.TypePoll, Payload: []byte{1, 2, 3}}
-	if err := s.handleTrigger(bad); err == nil {
-		t.Error("garbage trigger accepted")
+	bad := &frame.Frame{Type: frame.TypePoll, Seq: 1, Payload: []byte{1, 2, 3}}
+	if err := s.handleTrigger(bad); err == nil || !strings.Contains(err.Error(), "bad trigger") {
+		t.Errorf("garbage trigger: %v, want a bad-trigger error", err)
 	}
 	// Zero commanded rate.
 	payload, err := frame.MarshalSchedule([]frame.ScheduleEntry{{A: 7, B: frame.Broadcast, WeakScaleMicros: 1000000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := &frame.Frame{Type: frame.TypePoll, Payload: payload, DurationUS: 0}
-	if err := s.handleTrigger(zero); err == nil {
-		t.Error("zero-rate trigger accepted")
+	zero := &frame.Frame{Type: frame.TypePoll, Seq: 1, Payload: payload, DurationUS: 0}
+	if err := s.handleTrigger(zero); err == nil || !strings.Contains(err.Error(), "zero rate") {
+		t.Errorf("zero-rate trigger: %v, want a zero-rate error", err)
+	}
+	if len(med.got) != 0 || len(med.absent) != 0 {
+		t.Errorf("rejected triggers reached the medium: %d transmissions, %d absences", len(med.got), len(med.absent))
 	}
 	// Trigger for another station: silently ignored.
 	payload2, err := frame.MarshalSchedule([]frame.ScheduleEntry{{A: 99, B: frame.Broadcast, WeakScaleMicros: 1000000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := &frame.Frame{Type: frame.TypePoll, Payload: payload2, DurationUS: 1000}
+	other := &frame.Frame{Type: frame.TypePoll, Seq: 1, Payload: payload2, DurationUS: 1000}
 	if err := s.handleTrigger(other); err != nil {
 		t.Errorf("trigger for another station errored: %v", err)
 	}

@@ -3,38 +3,17 @@ package emu
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/frame"
-	"repro/internal/mac"
 	"repro/internal/phy"
-	"repro/internal/sched"
 )
 
-// waitGoroutinesBack polls until the goroutine count returns to (near) the
-// recorded baseline, failing the test if emulator goroutines leaked.
-func waitGoroutinesBack(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if runtime.Gosched(); runtime.NumGoroutine() <= baseline+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d running, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestEmuMidRunCancellationNoLeak cancels a large run mid-flight: Run must
-// return promptly with the context error and every station goroutine must
-// exit.
-func TestEmuMidRunCancellationNoLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+// TestEmuMidRunCancellation cancels a large run mid-flight: Run must
+// return promptly with the context error.
+func TestEmuMidRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -53,131 +32,30 @@ func TestEmuMidRunCancellationNoLeak(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled run did not return")
 	}
-	waitGoroutinesBack(t, baseline)
 }
 
-// TestEmuFaultyRunNoLeak drains a faulty run to completion and checks the
-// retry/timeout machinery tears down cleanly.
-func TestEmuFaultyRunNoLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	cfg := emuCfg()
-	cfg.Seed = 5
-	cfg.Faults = FaultModel{Loss: 0.1, Corrupt: 0.05, Stall: 0.1}
-	res, err := Run(context.Background(), emuStations(4, 30, 15, 28, 14), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Drained {
-		t.Fatalf("did not drain: %+v", res)
-	}
-	waitGoroutinesBack(t, baseline)
-}
-
-// TestStationErrorDuringDeliver exercises the AP's teardown path when a
-// station actor has died with an error while the AP is blocked delivering
-// into its (full, unread) inbox: runAP must surface the actor's error
-// promptly instead of deadlocking.
+// TestStationErrorDuringDeliver: a station that fails on a frame the AP
+// delivers to it — here it cannot build a data frame past
+// frame.MaxPayload — ends the run with its error.
 func TestStationErrorDuringDeliver(t *testing.T) {
-	stations := []mac.Station{{ID: 1, SNR: phy.FromDB(25), Backlog: 1}}
-	med := &medium{
-		rx:      mac.SICReceiver{Channel: phy.Wifi20MHz},
-		pending: map[slotKey]*pendingSlot{},
-	}
-	// The actor has no goroutine draining its unbuffered inbox — as if it
-	// crashed after posting its error.
-	actors := map[uint32]*stationActor{
-		1: {id: 1, snr: phy.FromDB(25), inbox: make(chan *frame.Frame), med: med, ch: phy.Wifi20MHz, bits: 12000},
-	}
-	errc := make(chan error, 1)
-	boom := errors.New("station actor exploded")
-	errc <- boom
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := runAP(context.Background(), stations, actors, med,
-			sched.Options{Channel: phy.Wifi20MHz, PacketBits: 12000},
-			Config{Channel: phy.Wifi20MHz, PacketBits: 12000}, errc)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, boom) {
-			t.Errorf("runAP returned %v, want the actor's error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("runAP deadlocked on a dead station's inbox")
+	cfg := emuCfg()
+	cfg.PacketBits = 8 * (frame.MaxPayload + 64)
+	_, err := Run(context.Background(), emuStations(1, 30, 15), cfg)
+	if !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("Run = %v, want the station's frame.ErrTooLarge", err)
 	}
 }
 
-// TestStationErrorDuringExecSlot exercises the AP's other wait: the trigger
-// was delivered but the slot never resolves because the station died
-// instead of transmitting. The posted error must unblock the slot wait.
-func TestStationErrorDuringExecSlot(t *testing.T) {
-	stations := []mac.Station{{ID: 1, SNR: phy.FromDB(25), Backlog: 1}}
-	med := &medium{
-		rx:      mac.SICReceiver{Channel: phy.Wifi20MHz},
-		pending: map[slotKey]*pendingSlot{},
-	}
-	// Buffered inbox, no reader: the trigger lands but nothing answers.
-	actors := map[uint32]*stationActor{
-		1: {id: 1, snr: phy.FromDB(25), inbox: make(chan *frame.Frame, 8), med: med, ch: phy.Wifi20MHz, bits: 12000},
-	}
-	errc := make(chan error, 1)
-	boom := errors.New("station actor died mid-slot")
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := runAP(context.Background(), stations, actors, med,
-			sched.Options{Channel: phy.Wifi20MHz, PacketBits: 12000},
-			Config{Channel: phy.Wifi20MHz, PacketBits: 12000}, errc)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the AP reach the slot wait
-	errc <- boom
-	select {
-	case err := <-done:
-		if !errors.Is(err, boom) {
-			t.Errorf("runAP returned %v, want the actor's error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("runAP never observed the actor error while waiting on a slot")
-	}
-}
-
-// TestStationActorErrorPropagates drives a station actor goroutine into an
-// error (a trigger for a slot the medium does not know) and checks that it
-// posts the error and exits rather than spinning.
+// TestStationActorErrorPropagates: a station triggered for a slot the
+// medium does not have open returns the medium's rejection.
 func TestStationActorErrorPropagates(t *testing.T) {
-	med := &medium{pending: map[slotKey]*pendingSlot{}}
-	s := &stationActor{
-		id: 7, snr: 100, backlog: 1,
-		inbox: make(chan *frame.Frame, 1),
-		med:   med, ch: phy.Wifi20MHz, bits: 12000,
-	}
-	errc := make(chan error, 1)
-	exited := make(chan struct{})
-	go func() {
-		s.run(context.Background(), errc)
-		close(exited)
-	}()
-
+	s := &stationActor{id: 7, snr: 100, backlog: 1, med: &medium{}, ch: phy.Wifi20MHz, bits: 12000}
 	payload, err := frame.MarshalSchedule([]frame.ScheduleEntry{{A: 7, B: frame.Broadcast, WeakScaleMicros: 1_000_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.inbox <- &frame.Frame{Type: frame.TypePoll, Seq: 42, DurationUS: 6000, Payload: payload}
-
-	select {
-	case err := <-errc:
-		if !strings.Contains(err.Error(), "unknown slot") {
-			t.Errorf("unexpected actor error: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("actor never posted its error")
-	}
-	select {
-	case <-exited:
-	case <-time.After(5 * time.Second):
-		t.Fatal("actor goroutine did not exit after erroring")
+	err = s.handleFrame(&frame.Frame{Type: frame.TypePoll, Seq: 42, DurationUS: 6000, Payload: payload})
+	if err == nil || !strings.Contains(err.Error(), "unknown slot") {
+		t.Errorf("station error = %v, want the medium's unknown-slot rejection", err)
 	}
 }

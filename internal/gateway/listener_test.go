@@ -182,3 +182,51 @@ func TestGatewayReplyGoldenBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayShutdownForwardsFlushedReports: reports still queued when the
+// gateway shuts down are flushed to the shards, not dropped. After a burst
+// and an immediate Shutdown every accepted report has been forwarded to
+// Replication shards with no failed write, and every datagram read has
+// exactly one ingest outcome.
+func TestGatewayShutdownForwardsFlushedReports(t *testing.T) {
+	tr := startTier(t, 2, nil)
+	var burst [][]byte
+	for st := uint32(1); st <= 4000; st++ {
+		buf, err := schedd.Report{AP: st % 64, Station: st, Seq: 1, SNRMilliDB: 20000}.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst = append(burst, buf)
+	}
+	conn, err := net.Dial("udp", tr.gw.UDPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, buf := range burst {
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := tr.gw.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	ie := tr.gw.IngestEvents()
+	if n := ie.Get("forward_err"); n != 0 {
+		t.Errorf("forward_err = %d after Shutdown, want 0", n)
+	}
+	if acc, fwd := ie.Get("accepted"), ie.Get("forwarded"); fwd != 2*acc {
+		t.Errorf("forwarded = %d, want Replication 2 x accepted %d", fwd, acc)
+	}
+	var drops int64
+	for _, r := range schedd.DropReasons() {
+		drops += tr.gw.DropEvents().Get(r)
+	}
+	outcomes := ie.Get("shed") + drops + ie.Get("ap_reserved") + ie.Get("station_limit") + ie.Get("dup") + ie.Get("accepted")
+	if n := ie.Get("datagrams"); n != outcomes {
+		t.Errorf("datagrams = %d, ingest outcomes = %d", n, outcomes)
+	}
+}

@@ -1,7 +1,7 @@
 package mac
 
 // FaultCounters aggregates protocol-failure accounting shared by the
-// discrete-event MACs (this package) and the live emulator (package emu).
+// discrete-event MACs (this package) and the emulator (package emu).
 // Every field counts events, not frames in flight, so counters from
 // different layers can be added together.
 type FaultCounters struct {

@@ -137,12 +137,16 @@ type Result struct {
 	Events int
 	// Faults aggregates failure/recovery accounting in the shared counter
 	// type; the serial baseline records post-collision retries here, and
-	// the live emulator (package emu) reuses the same type for its
+	// the emulator (package emu) reuses the same type for its
 	// fault-injection tallies.
 	Faults FaultCounters
 }
 
-func validStations(stations []Station) error {
+// ValidateStations is the station check of every simulator run, here and
+// in package emu: at least one station, ids neither the AP's 0 nor the
+// broadcast address and never repeated, finite positive SNRs and
+// non-negative backlogs.
+func ValidateStations(stations []Station) error {
 	if len(stations) == 0 {
 		return errors.New("mac: no stations")
 	}

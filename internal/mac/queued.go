@@ -121,7 +121,7 @@ func RunQueuedSerial(stations []Station, cfg QueuedConfig) (QueuedResult, error)
 	if err := cfg.validate(); err != nil {
 		return QueuedResult{}, err
 	}
-	if err := validStations(stations); err != nil {
+	if err := ValidateStations(stations); err != nil {
 		return QueuedResult{}, err
 	}
 	arrivals := genArrivals(stations, cfg)
@@ -203,7 +203,7 @@ func RunQueuedScheduled(stations []Station, cfg QueuedConfig, opts sched.Options
 	if err := cfg.validate(); err != nil {
 		return QueuedResult{}, err
 	}
-	if err := validStations(stations); err != nil {
+	if err := ValidateStations(stations); err != nil {
 		return QueuedResult{}, err
 	}
 	arrivals := genArrivals(stations, cfg)

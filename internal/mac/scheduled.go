@@ -33,7 +33,7 @@ func RunScheduled(stations []Station, cfg Config, opts sched.Options) (Result, e
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	if err := validStations(stations); err != nil {
+	if err := ValidateStations(stations); err != nil {
 		return Result{}, err
 	}
 	maxRounds := cfg.MaxRounds

@@ -19,7 +19,7 @@ func RunSerial(stations []Station, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	if err := validStations(stations); err != nil {
+	if err := ValidateStations(stations); err != nil {
 		return Result{}, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))

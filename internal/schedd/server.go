@@ -702,9 +702,10 @@ func (s *Server) serveSched(ap uint32) any {
 	return resp
 }
 
-// Shutdown stops the daemon gracefully: ingest sockets close, the queued
-// datagrams already accepted are flushed into the table, in-flight queries
-// run to completion, and idle connections are released. If ctx expires
+// Shutdown stops the daemon gracefully: ingest stops, the queued
+// datagrams already accepted are flushed into the table, the sockets
+// close, in-flight queries run to completion, and idle connections are
+// released. If ctx expires
 // before the drain completes, in-flight ladder solves are aborted and the
 // remaining connections force-closed. The counters survive shutdown for a
 // final flush.

@@ -92,7 +92,8 @@ type Listener struct {
 	closing atomic.Bool
 	killed  atomic.Bool // Kill: drop the queue instead of flushing it
 
-	wg       sync.WaitGroup // reader, worker, acceptor
+	reader   sync.WaitGroup // the ingest reader
+	wg       sync.WaitGroup // worker, acceptor
 	handlers sync.WaitGroup // connection handlers and Go'd work
 
 	mu    sync.Mutex
@@ -130,7 +131,8 @@ func (l *Listener) Serve(cfg Config) {
 	}
 	l.cfg = cfg
 	l.queue = make(chan []byte, cfg.QueueDepth)
-	l.wg.Add(3)
+	l.reader.Add(1)
+	l.wg.Add(2)
 	go l.read()
 	go l.work()
 	go l.accept()
@@ -172,7 +174,7 @@ func (l *Listener) Go(f func()) {
 // oldest-first under pressure so a burst can never grow memory without
 // bound.
 func (l *Listener) read() {
-	defer l.wg.Done()
+	defer l.reader.Done()
 	buf := make([]byte, 512)
 	for {
 		n, _, err := l.udp.ReadFromUDP(buf)
@@ -319,26 +321,33 @@ func (l *Listener) closeConns() {
 	l.mu.Unlock()
 }
 
-// stop marks the listener closing, closes both sockets and waits for the
-// reader, the worker and the acceptor. It reports false when the listener
-// had already been stopped.
+// stop marks the listener closing and stops its goroutines in order: the
+// reader first, woken by a read deadline, so nothing more joins the queue;
+// then the worker, which flushes the queue (unless killed) while the
+// ingest socket is still open, since a tier may write through it; and the
+// acceptor. The ingest socket closes last. It reports false when the
+// listener had already been stopped.
 func (l *Listener) stop() bool {
 	if l.closing.Swap(true) {
 		return false
 	}
-	l.udp.Close()
+	if l.udp.SetReadDeadline(time.Unix(1, 0)) != nil {
+		l.udp.Close() // the only other way to wake the reader
+	}
+	l.reader.Wait()
 	l.tcp.Close()
 	close(l.done)
 	l.wg.Wait()
+	l.udp.Close()
 	return true
 }
 
-// Shutdown stops the listener gracefully: the sockets close, the queued
-// datagrams are flushed to the tier, commands in flight are answered, and
-// idle connections are released. If ctx ends before the handlers have
-// returned, abort runs (it must make in-flight commands return) and then
-// every connection is closed; Shutdown still waits for the handlers and
-// reports the drain cut short.
+// Shutdown stops the listener gracefully: ingest stops, the queued
+// datagrams are flushed to the tier, the sockets close, commands in
+// flight are answered, and idle connections are released. If ctx ends
+// before the handlers have returned, abort runs (it must make in-flight
+// commands return) and then every connection is closed; Shutdown still
+// waits for the handlers and reports the drain cut short.
 func (l *Listener) Shutdown(ctx context.Context, abort func()) error {
 	if !l.stop() {
 		return ErrClosed
@@ -372,9 +381,10 @@ func (l *Listener) Shutdown(ctx context.Context, abort func()) error {
 	}
 }
 
-// Kill stops the listener abruptly, modelling a crash: the sockets close,
-// queued datagrams are dropped, every connection is severed mid-stream,
-// abort runs, and Kill returns once the handlers have.
+// Kill stops the listener abruptly, modelling a crash: ingest stops,
+// queued datagrams are dropped, the sockets close, every connection is
+// severed mid-stream, abort runs, and Kill returns once the handlers
+// have.
 func (l *Listener) Kill(abort func()) error {
 	l.killed.Store(true)
 	if !l.stop() {

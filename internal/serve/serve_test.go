@@ -166,12 +166,27 @@ func TestIngestShedsOldestWhileWorkerHeld(t *testing.T) {
 }
 
 // TestIngestFlushesOnShutdownDropsOnKill: datagrams already queued when
-// the listener stops reach the tier on Shutdown and are lost on Kill.
+// the listener stops reach the tier on Shutdown and are lost on Kill. The
+// flush runs while the ingest socket is still open, so a tier that writes
+// through it (the gateway forwards from it) can send every flushed
+// datagram on.
 func TestIngestFlushesOnShutdownDropsOnKill(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	sinkAddr := sink.LocalAddr().(*net.UDPAddr)
 	for _, kill := range []bool{false, true} {
 		hold := make(chan struct{})
-		var handled atomic.Int64
-		l, counts := start(t, Config{Hold: hold, Datagram: func([]byte) { handled.Add(1) }})
+		var handled, forwarded atomic.Int64
+		var l *Listener
+		l, counts := start(t, Config{Hold: hold, Datagram: func(pkt []byte) {
+			handled.Add(1)
+			if _, err := l.WriteToUDP(pkt, sinkAddr); err == nil {
+				forwarded.Add(1)
+			}
+		}})
 		send(t, l, "a", "b", "c", "d", "e")
 		waitFor(t, "five datagrams read", func() bool { return counts.Get("read") == 5 })
 		stopped := make(chan error, 1)
@@ -195,6 +210,9 @@ func TestIngestFlushesOnShutdownDropsOnKill(t *testing.T) {
 		}
 		if got := handled.Load(); got != want {
 			t.Fatalf("kill=%v: %d queued datagrams handled, want %d", kill, got, want)
+		}
+		if got := forwarded.Load(); got != want {
+			t.Fatalf("kill=%v: %d of %d flushed datagrams written back through the ingest socket", kill, got, want)
 		}
 	}
 }

@@ -246,7 +246,7 @@ func RunQueuedScheduled(stations []Station, cfg QueuedConfig, opts SchedOptions)
 	return mac.RunQueuedScheduled(stations, cfg, opts)
 }
 
-// EmuConfig parameterises the live goroutine-based emulation.
+// EmuConfig parameterises a run of the trigger-protocol emulator.
 type EmuConfig = emu.Config
 
 // EmuResult summarises an emulation run.
@@ -258,13 +258,14 @@ type EmuResult = emu.Result
 type FaultModel = emu.FaultModel
 
 // FaultCounters aggregates failure/recovery accounting shared by the
-// discrete-event MACs and the live emulator.
+// discrete-event MACs and the emulator.
 type FaultCounters = mac.FaultCounters
 
-// RunEmulation executes the SIC-aware upload MAC as a live concurrent
-// system: the AP and every station are goroutines exchanging marshalled
-// frames (trigger-based uplink) over a simulated medium. Deterministic for
-// a fixed topology; honours ctx cancellation.
+// RunEmulation executes the SIC-aware upload MAC as a trigger-frame
+// protocol: the AP polls its stations, schedules them and triggers each
+// slot, exchanging marshalled, CRC-checked frames with them over a
+// simulated (optionally faulty) medium. Deterministic for a fixed topology
+// and Config; honours ctx cancellation.
 func RunEmulation(ctx context.Context, stations []Station, cfg EmuConfig) (EmuResult, error) {
 	return emu.Run(ctx, stations, cfg)
 }
