@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzDecodeHandoff$$' -fuzztime=10s ./internal/session/
 	$(GO) test -fuzz='^FuzzDecodeWALRecord$$' -fuzztime=10s ./internal/session/
 	$(GO) test -fuzz='^FuzzFastReject$$' -fuzztime=10s ./internal/gateway/
+	$(GO) test -fuzz='^FuzzAppendFixed1$$' -fuzztime=10s ./internal/plot/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

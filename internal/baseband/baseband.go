@@ -85,12 +85,22 @@ func (m Modulation) BitsPerSymbol() int {
 	return 0
 }
 
-// randSymbols draws n uniform constellation indices.
-func randSymbols(rng *rand.Rand, m Modulation, n int) []int {
-	k := len(m.Constellation())
-	out := make([]int, n)
+// maxPoints is the largest constellation's size (16-QAM).
+const maxPoints = 16
+
+// infBits is math.Float64bits(math.Inf(1)), the starting bound of decide.
+const infBits uint64 = 0x7ff0_0000_0000_0000
+
+// randPhase draws a uniform channel phase.
+func randPhase(rng *rand.Rand) float64 {
+	return 2 * math.Pi * rng.Float64()
+}
+
+// drawSymbols draws n uniform indices into a constellation of k points.
+func drawSymbols(rng *rand.Rand, k, n int) []uint8 {
+	out := make([]uint8, n)
 	for i := range out {
-		out[i] = rng.Intn(k)
+		out[i] = uint8(rng.Intn(k))
 	}
 	return out
 }
@@ -102,24 +112,40 @@ func awgn(rng *rand.Rand) complex128 {
 	return complex(rng.NormFloat64()*s, rng.NormFloat64()*s)
 }
 
-// randGain returns a channel coefficient with |h|² = snr and uniform phase.
-func randGain(rng *rand.Rand, snr float64) complex128 {
-	theta := 2 * math.Pi * rng.Float64()
-	return cmplx.Rect(math.Sqrt(snr), theta)
+// replicas stores h·c for every constellation point c, the products a
+// decision compares a received sample against.
+func replicas(dst *[maxPoints]complex128, h complex128, consts []complex128) []complex128 {
+	for i, c := range consts {
+		dst[i] = h * c
+	}
+	return dst[:len(consts)]
 }
 
-// nearest returns the index of the constellation point c minimising
-// |y − h·c|, the first such index on an exact tie. It compares squared
-// distances, which order the points as the distances do.
-func nearest(y, h complex128, consts []complex128) int {
-	best, bestD := 0, math.Inf(1)
-	for i, c := range consts {
-		e := y - h*c
-		if d := real(e)*real(e) + imag(e)*imag(e); d < bestD {
+// decide returns the index i minimising |y − p[i]|, the first such index
+// on an exact tie. With p[i] = h·c it is the maximum-likelihood decision
+// for the constellation point c.
+//
+// It compares the squared distances' bit patterns as uint64: on the
+// non-negative floats a sum of squares can be, from +0 to +Inf, they
+// order as the floats do, and every NaN pattern lies above the starting
+// bound +Inf, so a NaN never wins. Where the returned index only feeds
+// comparisons, the compiler turns each comparison into a conditional move
+// instead of a data-dependent branch; where it addresses a load, Go keeps
+// the branch.
+func decide(y complex128, p []complex128) int {
+	best, bestD := 0, infBits
+	for i, c := range p {
+		if d := sqDistBits(y, c); d < bestD {
 			best, bestD = i, d
 		}
 	}
 	return best
+}
+
+// sqDistBits returns the bits of |y − c|².
+func sqDistBits(y, c complex128) uint64 {
+	e := y - c
+	return math.Float64bits(real(e)*real(e) + imag(e)*imag(e))
 }
 
 // Config drives a pairwise SIC simulation.
@@ -158,10 +184,15 @@ func (c Config) validate() error {
 	if c.Pilots < 0 {
 		return errors.New("baseband: Pilots must be non-negative")
 	}
-	if c.ClipAmplitude < 0 {
+	if math.IsNaN(c.SNRStrongDB) || math.IsInf(c.SNRStrongDB, 0) ||
+		math.IsNaN(c.SNRWeakDB) || math.IsInf(c.SNRWeakDB, 0) {
+		return errors.New("baseband: SNRStrongDB and SNRWeakDB must be finite")
+	}
+	// The negated comparisons reject NaN as well.
+	if !(c.ClipAmplitude >= 0) {
 		return errors.New("baseband: ClipAmplitude must be non-negative")
 	}
-	if math.Abs(c.CFONormalized) >= 0.5 {
+	if !(math.Abs(c.CFONormalized) < 0.5) {
 		return errors.New("baseband: |CFONormalized| must be below 0.5 cycles/symbol")
 	}
 	return nil
@@ -218,78 +249,155 @@ func estimateChannel(y, x []complex128) complex128 {
 	return num / complex(den, 0)
 }
 
-// Run executes the full SIC reception chain.
+// Run executes the full SIC reception chain. It is a one-config Sweep.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	res, err := Sweep([]Config{cfg})
+	if err != nil {
 		return Result{}, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	consts := cfg.Mod.Constellation()
+	return res[0], nil
+}
 
-	hS := randGain(rng, dbToLin(cfg.SNRStrongDB))
-	hW := randGain(rng, dbToLin(cfg.SNRWeakDB))
+// Sweep runs the SIC reception chain once per config over one shared set
+// of draws, returning the results in config order. The configs must agree
+// in Mod, Symbols, Pilots and Seed, the only fields the draws depend on;
+// they may differ in SNRStrongDB, SNRWeakDB, ClipAmplitude and
+// CFONormalized. Each result equals that of a Sweep of its config alone.
+//
+// The draws come from rand.NewSource(Seed) in this order: the strong and
+// the weak channel phase; Pilots pilot indices; per pilot, the strong then
+// the weak transmitter's pilot noise; Symbols strong data indices;
+// Symbols weak data indices; then one noise sample per symbol, each drawn
+// in the iteration that decodes it.
+func Sweep(cfgs []Config) ([]Result, error) {
+	if len(cfgs) == 0 {
+		return nil, errors.New("baseband: Sweep needs at least one config")
+	}
+	first := cfgs[0]
+	for i, c := range cfgs {
+		if err := c.validate(); err != nil {
+			return nil, err
+		}
+		if c.Mod != first.Mod || c.Symbols != first.Symbols || c.Pilots != first.Pilots || c.Seed != first.Seed {
+			return nil, fmt.Errorf("baseband: Sweep config %d differs from config 0 in Mod, Symbols, Pilots or Seed", i)
+		}
+	}
+	rng := rand.New(rand.NewSource(first.Seed))
+	consts := first.Mod.Constellation()
+	k := len(consts)
+
+	thetaS, thetaW := randPhase(rng), randPhase(rng)
 
 	// ---- Channel estimation (time-orthogonal pilot bursts) ----
-	hSest, hWest := hS, hW
-	if cfg.Pilots > 0 {
-		pilotIdx := randSymbols(rng, cfg.Mod, cfg.Pilots)
-		px := make([]complex128, cfg.Pilots)
-		ys := make([]complex128, cfg.Pilots)
-		yw := make([]complex128, cfg.Pilots)
+	var px, pilotNoise, ys, yw []complex128
+	if first.Pilots > 0 {
+		pilotIdx := drawSymbols(rng, k, first.Pilots)
+		px = make([]complex128, first.Pilots)
+		pilotNoise = make([]complex128, 2*first.Pilots)
 		for i, s := range pilotIdx {
 			px[i] = consts[s]
-			ys[i] = clip(hS*px[i]+awgn(rng), cfg.ClipAmplitude)
-			yw[i] = clip(hW*px[i]+awgn(rng), cfg.ClipAmplitude)
+			pilotNoise[2*i] = awgn(rng)
+			pilotNoise[2*i+1] = awgn(rng)
 		}
-		hSest = estimateChannel(ys, px)
-		hWest = estimateChannel(yw, px)
+		ys = make([]complex128, first.Pilots)
+		yw = make([]complex128, first.Pilots)
 	}
 
-	// ---- Data phase: superimposed transmission ----
-	symS := randSymbols(rng, cfg.Mod, cfg.Symbols)
-	symW := randSymbols(rng, cfg.Mod, cfg.Symbols)
-	noise := make([]complex128, cfg.Symbols)
-	y := make([]complex128, cfg.Symbols)
-	rot := cmplx.Rect(1, 2*math.Pi*cfg.CFONormalized)
-	hSt := hS
-	for i := 0; i < cfg.Symbols; i++ {
-		noise[i] = awgn(rng)
-		y[i] = clip(hSt*consts[symS[i]]+hW*consts[symW[i]]+noise[i], cfg.ClipAmplitude)
-		hSt *= rot // the strong channel drifts; the receiver's estimate does not
+	rxs := make([]receiver, len(cfgs))
+	for j, c := range cfgs {
+		hS := cmplx.Rect(math.Sqrt(dbToLin(c.SNRStrongDB)), thetaS)
+		hW := cmplx.Rect(math.Sqrt(dbToLin(c.SNRWeakDB)), thetaW)
+		hSest, hWest := hS, hW
+		if len(px) > 0 {
+			for i, x := range px {
+				ys[i] = clip(hS*x+pilotNoise[2*i], c.ClipAmplitude)
+				yw[i] = clip(hW*x+pilotNoise[2*i+1], c.ClipAmplitude)
+			}
+			hSest = estimateChannel(ys, px)
+			hWest = estimateChannel(yw, px)
+		}
+		r := &rxs[j]
+		*r = receiver{
+			hS: hS, hSest: hSest, hSt: hS,
+			rot:  cmplx.Rect(1, 2*math.Pi*c.CFONormalized),
+			clip: c.ClipAmplitude,
+			k:    k,
+		}
+		replicas(&r.txW, hW, consts)
+		replicas(&r.estS, hSest, consts)
+		replicas(&r.estW, hWest, consts)
 	}
 
-	var errStrong, errWeak, errAlone int
-	for i := 0; i < cfg.Symbols; i++ {
-		// 1. Decode the stronger signal, weak as interference.
-		dS := nearest(y[i], hSest, consts)
-		if dS != symS[i] {
-			errStrong++
-		}
-		// 2. Reconstruct & subtract with the *estimated* channel.
-		resid := y[i] - hSest*consts[dS]
-		// 3. Decode the weaker from the residue.
-		dW := nearest(resid, hWest, consts)
-		if dW != symW[i] {
-			errWeak++
-		}
-		// Reference: weak alone on the same noise (no strong signal at all).
-		yAlone := clip(hW*consts[symW[i]]+noise[i], cfg.ClipAmplitude)
-		if nearest(yAlone, hWest, consts) != symW[i] {
-			errAlone++
+	// ---- Data phase: superimposed transmission, decoded as it arrives ----
+	symS := drawSymbols(rng, k, first.Symbols)
+	symW := drawSymbols(rng, k, first.Symbols)
+	for i := range symS {
+		noise := awgn(rng)
+		s, w := symS[i], symW[i]
+		for j := range rxs {
+			rxs[j].decode(consts[s], s, w, noise)
 		}
 	}
 
-	dh := hS - hSest
+	out := make([]Result, len(rxs))
+	for j := range rxs {
+		out[j] = rxs[j].result(first.Symbols)
+	}
+	return out, nil
+}
+
+// receiver is one config's decoder state within a Sweep.
+type receiver struct {
+	hS, hSest complex128
+	// hSt is the strong channel at the current symbol; it turns by rot
+	// each symbol while the receiver's estimate stays put.
+	hSt, rot complex128
+	clip     float64
+	// txW holds hW·c, the weak transmitter's contribution per symbol;
+	// estS and estW hold ĥS·c and ĥW·c, the receiver's replicas.
+	txW, estS, estW    [maxPoints]complex128
+	k                  int
+	errS, errW, errAln int
+}
+
+// decode receives one superimposed symbol: strong point cs (index s) and
+// weak index w under noise n.
+func (r *receiver) decode(cs complex128, s, w uint8, n complex128) {
+	txW := r.txW[w]
+	y := clip(r.hSt*cs+txW+n, r.clip)
+	r.hSt *= r.rot // the strong channel drifts; the receiver's estimate does not
+	// The reference: the weak signal alone on the same noise.
+	yAlone := clip(txW+n, r.clip)
+	// Decode the stronger signal, weak as interference; subtract its
+	// replica and decode the weaker from the residue.
+	estS, estW := r.estS[:r.k], r.estW[:r.k]
+	dS := decide(y, estS)
+	dW := decide(y-estS[dS], estW)
+	dA := decide(yAlone, estW)
+	if dS != int(s) {
+		r.errS++
+	}
+	if dW != int(w) {
+		r.errW++
+	}
+	if dA != int(w) {
+		r.errAln++
+	}
+}
+
+// result turns the error counts and the channel estimate into a Result.
+func (r *receiver) result(symbols int) Result {
+	dh := r.hS - r.hSest
 	res := Result{
-		SERStrong:    float64(errStrong) / float64(cfg.Symbols),
-		SERWeak:      float64(errWeak) / float64(cfg.Symbols),
-		SERWeakAlone: float64(errAlone) / float64(cfg.Symbols),
+		SERStrong:    float64(r.errS) / float64(symbols),
+		SERWeak:      float64(r.errW) / float64(symbols),
+		SERWeakAlone: float64(r.errAln) / float64(symbols),
 		EstErrStrong: real(dh)*real(dh) + imag(dh)*imag(dh),
 	}
-	if p := real(hS)*real(hS) + imag(hS)*imag(hS); p > 0 {
+	if p := real(r.hS)*real(r.hS) + imag(r.hS)*imag(r.hS); p > 0 {
 		res.ResidualBeta = res.EstErrStrong / p
 	}
-	return res, nil
+	return res
 }
 
 // RunSingle measures the single-user SER of one link at the given SNR —
@@ -301,12 +409,12 @@ func RunSingle(mod Modulation, snrDB float64, symbols int, seed int64) (float64,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	consts := mod.Constellation()
-	h := randGain(rng, dbToLin(snrDB))
-	sym := randSymbols(rng, mod, symbols)
+	h := cmplx.Rect(math.Sqrt(dbToLin(snrDB)), randPhase(rng))
+	var est [maxPoints]complex128
+	p := replicas(&est, h, consts)
 	errs := 0
-	for i := 0; i < symbols; i++ {
-		y := h*consts[sym[i]] + awgn(rng)
-		if nearest(y, h, consts) != sym[i] {
+	for _, s := range drawSymbols(rng, len(consts), symbols) {
+		if decide(h*consts[s]+awgn(rng), p) != int(s) {
 			errs++
 		}
 	}

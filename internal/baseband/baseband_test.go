@@ -42,15 +42,34 @@ func TestModulationString(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []Config{
 		{Mod: Modulation(9), Symbols: 10},
 		{Mod: QPSK, Symbols: 0},
 		{Mod: QPSK, Symbols: 10, Pilots: -1},
 		{Mod: QPSK, Symbols: 10, ClipAmplitude: -1},
+		{Mod: QPSK, Symbols: 10, SNRStrongDB: nan},
+		{Mod: QPSK, Symbols: 10, SNRStrongDB: inf},
+		{Mod: QPSK, Symbols: 10, SNRStrongDB: -inf},
+		{Mod: QPSK, Symbols: 10, SNRWeakDB: nan},
+		{Mod: QPSK, Symbols: 10, SNRWeakDB: inf},
+		{Mod: QPSK, Symbols: 10, SNRWeakDB: -inf},
+		{Mod: QPSK, Symbols: 10, ClipAmplitude: nan},
+		{Mod: QPSK, Symbols: 10, CFONormalized: nan},
 	}
 	for i, c := range bad {
 		if _, err := Run(c); err == nil {
-			t.Errorf("bad config %d accepted", i)
+			t.Errorf("bad config %d (%+v) accepted", i, c)
+		}
+		// A bad config fails a Sweep wherever it stands.
+		good := Config{Mod: QPSK, SNRStrongDB: 20, SNRWeakDB: 10, Symbols: 10}
+		if _, err := Sweep([]Config{good, c}); err == nil {
+			t.Errorf("bad config %d accepted as a Sweep's second config", i)
+		}
+	}
+	for _, snr := range []float64{nan, inf, -inf} {
+		if _, err := RunSingle(QPSK, snr, 10, 1); err == nil {
+			t.Errorf("RunSingle accepted SNR %v dB", snr)
 		}
 	}
 }
@@ -238,6 +257,12 @@ func nearestRef(y, h complex128, consts []complex128) int {
 	return best
 }
 
+// decideH is decide against the replicas of channel h.
+func decideH(y, h complex128, consts []complex128) int {
+	var p [maxPoints]complex128
+	return decide(y, replicas(&p, h, consts))
+}
+
 func TestNearestMatchesAbsReference(t *testing.T) {
 	s := math.Sqrt(0.5)
 	// Exact ties: the first index must win, as it does in nearestRef.
@@ -261,6 +286,9 @@ func TestNearestMatchesAbsReference(t *testing.T) {
 		if got := nearest(tc.y, tc.h, consts); got != tc.want {
 			t.Errorf("%s: nearest = %d, want %d", tc.name, got, tc.want)
 		}
+		if got := decideH(tc.y, tc.h, consts); got != tc.want {
+			t.Errorf("%s: decide = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -273,9 +301,161 @@ func TestNearestMatchesAbsReference(t *testing.T) {
 			if k%2 == 0 {
 				y = h*consts[rng.Intn(len(consts))] + awgn(rng)
 			}
-			if got, want := nearest(y, h, consts), nearestRef(y, h, consts); got != want {
+			want := nearestRef(y, h, consts)
+			if got := nearest(y, h, consts); got != want {
 				t.Fatalf("%v: nearest(%v, %v) = %d, reference %d", m, y, h, got, want)
 			}
+			if got := decideH(y, h, consts); got != want {
+				t.Fatalf("%v: decide(%v, %v) = %d, reference %d", m, y, h, got, want)
+			}
+		}
+	}
+}
+
+// A NaN or infinite distance never wins a decision, as it never won
+// nearest's float comparison; with no finite distance the first index
+// stands.
+func TestDecideNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, m := range []Modulation{BPSK, QPSK, QAM16} {
+		consts := m.Constellation()
+		for _, tc := range []struct{ y, h complex128 }{
+			{complex(nan, 0), 1},
+			{complex(0, -nan), 1},
+			{complex(inf, 0), 1},
+			{1, complex(nan, nan)},
+			{1, complex(0, inf)},
+			{complex(0.3, -0.2), 1},
+			{complex(1e300, 1e300), 1e-300},
+		} {
+			if got, want := decideH(tc.y, tc.h, consts), nearest(tc.y, tc.h, consts); got != want {
+				t.Errorf("%v: decide(%v, %v) = %d, nearest %d", m, tc.y, tc.h, got, want)
+			}
+		}
+		// One NaN replica among finite ones loses wherever it stands.
+		for bad := range consts {
+			var p [maxPoints]complex128
+			replicas(&p, 1, consts)
+			p[bad] = complex(nan, 0)
+			y := consts[bad]
+			got := decide(y, p[:len(consts)])
+			if got == bad {
+				t.Errorf("%v: NaN replica %d won", m, bad)
+			}
+		}
+	}
+}
+
+func TestSweepMatchesReference(t *testing.T) {
+	snrs := [][2]float64{{8, 2}, {14, 13}, {20, 6}, {30, 12}, {40, 10}}
+	const symbols = 1500
+	var n int
+	for _, mod := range []Modulation{BPSK, QPSK, QAM16} {
+		for _, pilots := range []int{0, 1, 4, 64} {
+			for _, clipA := range []float64{0, 1.5, 16, 50} {
+				for _, cfo := range []float64{0, 1e-4, 0.01} {
+					for seed := int64(1); seed <= 3; seed++ {
+						cfgs := make([]Config, len(snrs))
+						for i, snr := range snrs {
+							cfgs[i] = Config{
+								Mod: mod, SNRStrongDB: snr[0], SNRWeakDB: snr[1],
+								Symbols: symbols, Pilots: pilots,
+								ClipAmplitude: clipA, CFONormalized: cfo, Seed: seed,
+							}
+						}
+						got, err := Sweep(cfgs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, c := range cfgs {
+							want, err := runRef(c)
+							if err != nil {
+								t.Fatal(err)
+							}
+							one, err := Run(c)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !sameResult(got[i], want) || !sameResult(one, want) {
+								t.Fatalf("%+v:\nSweep     %+v\nRun       %+v\nreference %+v", c, got[i], one, want)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	if n != 2160 {
+		t.Fatalf("compared %d configs, want 2160", n)
+	}
+}
+
+// sameResult compares every Result field bit for bit.
+func sameResult(a, b Result) bool {
+	bits := func(r Result) [5]uint64 {
+		return [5]uint64{
+			math.Float64bits(r.SERStrong), math.Float64bits(r.SERWeak),
+			math.Float64bits(r.SERWeakAlone), math.Float64bits(r.ResidualBeta),
+			math.Float64bits(r.EstErrStrong),
+		}
+	}
+	return bits(a) == bits(b)
+}
+
+func TestRunSingleMatchesReference(t *testing.T) {
+	for _, mod := range []Modulation{BPSK, QPSK, QAM16} {
+		for _, snr := range []float64{0, 6, 12} {
+			got, err := RunSingle(mod, snr, 3000, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := runSingleRef(mod, snr, 3000, 9); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v at %v dB: RunSingle %v, reference %v", mod, snr, got, want)
+			}
+		}
+	}
+}
+
+func TestSweepRejectsMixedConfigs(t *testing.T) {
+	if _, err := Sweep(nil); err == nil {
+		t.Error("empty Sweep accepted")
+	}
+	base := Config{Mod: QPSK, SNRStrongDB: 30, SNRWeakDB: 10, Symbols: 100, Pilots: 4, Seed: 1}
+	for name, mutate := range map[string]func(*Config){
+		"Mod":     func(c *Config) { c.Mod = QAM16 },
+		"Symbols": func(c *Config) { c.Symbols = 101 },
+		"Pilots":  func(c *Config) { c.Pilots = 5 },
+		"Seed":    func(c *Config) { c.Seed = 2 },
+	} {
+		other := base
+		mutate(&other)
+		if _, err := Sweep([]Config{base, other}); err == nil {
+			t.Errorf("Sweep accepted configs that differ in %s", name)
+		}
+	}
+	// The per-config fields may differ.
+	other := base
+	other.SNRStrongDB, other.SNRWeakDB, other.ClipAmplitude, other.CFONormalized = 20, 5, 3, 0.01
+	if _, err := Sweep([]Config{base, other}); err != nil {
+		t.Errorf("Sweep rejected configs that share the draws: %v", err)
+	}
+}
+
+// The receiver's working set does not grow with the packet: Run allocates
+// as often at 100,000 symbols as at 1,000.
+func TestRunAllocsIndependentOfSymbols(t *testing.T) {
+	for _, pilots := range []int{0, 16} {
+		allocs := func(symbols int) float64 {
+			cfg := Config{Mod: QPSK, SNRStrongDB: 30, SNRWeakDB: 10, Symbols: symbols, Pilots: pilots, Seed: 1}
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(1000), allocs(100000); small != large {
+			t.Errorf("pilots %d: %v allocations at 1,000 symbols, %v at 100,000", pilots, small, large)
 		}
 	}
 }
@@ -344,5 +524,158 @@ func TestCFOValidation(t *testing.T) {
 	bad := Config{Mod: QPSK, Symbols: 10, CFONormalized: 0.6}
 	if _, err := Run(bad); err == nil {
 		t.Error("CFO ≥ 0.5 cycles/symbol accepted")
+	}
+}
+
+// ---- Reference receiver ----
+//
+// The receiver as it stood before Sweep fused the configs' symbol loops:
+// one config per call, every draw materialised, nearest recomputing h·c
+// per decision. TestSweepMatchesReference and
+// TestRunSingleMatchesReference compare Sweep, Run and RunSingle with it
+// bit for bit.
+
+// randSymbols draws n uniform constellation indices.
+func randSymbols(rng *rand.Rand, m Modulation, n int) []int {
+	k := len(m.Constellation())
+	out := make([]int, n)
+	for i := range out {
+		out[i] = rng.Intn(k)
+	}
+	return out
+}
+
+// randGain returns a channel coefficient with |h|² = snr and uniform phase.
+func randGain(rng *rand.Rand, snr float64) complex128 {
+	theta := 2 * math.Pi * rng.Float64()
+	return cmplx.Rect(math.Sqrt(snr), theta)
+}
+
+// nearest returns the index of the constellation point c minimising
+// |y − h·c|, the first such index on an exact tie. It compares squared
+// distances, which order the points as the distances do.
+func nearest(y, h complex128, consts []complex128) int {
+	best, bestD := 0, math.Inf(1)
+	for i, c := range consts {
+		e := y - h*c
+		if d := real(e)*real(e) + imag(e)*imag(e); d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// runRef executes the full SIC reception chain.
+func runRef(cfg Config) (Result, error) {
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	consts := cfg.Mod.Constellation()
+
+	hS := randGain(rng, dbToLin(cfg.SNRStrongDB))
+	hW := randGain(rng, dbToLin(cfg.SNRWeakDB))
+
+	// ---- Channel estimation (time-orthogonal pilot bursts) ----
+	hSest, hWest := hS, hW
+	if cfg.Pilots > 0 {
+		pilotIdx := randSymbols(rng, cfg.Mod, cfg.Pilots)
+		px := make([]complex128, cfg.Pilots)
+		ys := make([]complex128, cfg.Pilots)
+		yw := make([]complex128, cfg.Pilots)
+		for i, s := range pilotIdx {
+			px[i] = consts[s]
+			ys[i] = clip(hS*px[i]+awgn(rng), cfg.ClipAmplitude)
+			yw[i] = clip(hW*px[i]+awgn(rng), cfg.ClipAmplitude)
+		}
+		hSest = estimateChannel(ys, px)
+		hWest = estimateChannel(yw, px)
+	}
+
+	// ---- Data phase: superimposed transmission ----
+	symS := randSymbols(rng, cfg.Mod, cfg.Symbols)
+	symW := randSymbols(rng, cfg.Mod, cfg.Symbols)
+	noise := make([]complex128, cfg.Symbols)
+	y := make([]complex128, cfg.Symbols)
+	rot := cmplx.Rect(1, 2*math.Pi*cfg.CFONormalized)
+	hSt := hS
+	for i := 0; i < cfg.Symbols; i++ {
+		noise[i] = awgn(rng)
+		y[i] = clip(hSt*consts[symS[i]]+hW*consts[symW[i]]+noise[i], cfg.ClipAmplitude)
+		hSt *= rot // the strong channel drifts; the receiver's estimate does not
+	}
+
+	var errStrong, errWeak, errAlone int
+	for i := 0; i < cfg.Symbols; i++ {
+		// 1. Decode the stronger signal, weak as interference.
+		dS := nearest(y[i], hSest, consts)
+		if dS != symS[i] {
+			errStrong++
+		}
+		// 2. Reconstruct & subtract with the *estimated* channel.
+		resid := y[i] - hSest*consts[dS]
+		// 3. Decode the weaker from the residue.
+		dW := nearest(resid, hWest, consts)
+		if dW != symW[i] {
+			errWeak++
+		}
+		// Reference: weak alone on the same noise (no strong signal at all).
+		yAlone := clip(hW*consts[symW[i]]+noise[i], cfg.ClipAmplitude)
+		if nearest(yAlone, hWest, consts) != symW[i] {
+			errAlone++
+		}
+	}
+
+	dh := hS - hSest
+	res := Result{
+		SERStrong:    float64(errStrong) / float64(cfg.Symbols),
+		SERWeak:      float64(errWeak) / float64(cfg.Symbols),
+		SERWeakAlone: float64(errAlone) / float64(cfg.Symbols),
+		EstErrStrong: real(dh)*real(dh) + imag(dh)*imag(dh),
+	}
+	if p := real(hS)*real(hS) + imag(hS)*imag(hS); p > 0 {
+		res.ResidualBeta = res.EstErrStrong / p
+	}
+	return res, nil
+}
+
+// runSingleRef measures the single-user SER of one link at the given SNR.
+func runSingleRef(mod Modulation, snrDB float64, symbols int, seed int64) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	consts := mod.Constellation()
+	h := randGain(rng, dbToLin(snrDB))
+	sym := randSymbols(rng, mod, symbols)
+	errs := 0
+	for i := 0; i < symbols; i++ {
+		y := h*consts[sym[i]] + awgn(rng)
+		if nearest(y, h, consts) != sym[i] {
+			errs++
+		}
+	}
+	return float64(errs) / float64(symbols)
+}
+
+func BenchmarkBasebandRun(b *testing.B) {
+	cfg := Config{Mod: QPSK, SNRStrongDB: 30, SNRWeakDB: 12, Symbols: 100000, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBasebandSweep is ext-phy's SER curve: 17 weak SNRs under a
+// 30 dB strong signal, 100,000 QPSK symbols each.
+func BenchmarkBasebandSweep(b *testing.B) {
+	var cfgs []Config
+	for db := 5.0; db <= 13; db += 0.5 {
+		cfgs = append(cfgs, Config{Mod: QPSK, SNRStrongDB: 30, SNRWeakDB: db, Symbols: 100000, Seed: 78})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Sweep(cfgs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

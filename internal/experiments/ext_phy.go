@@ -116,22 +116,18 @@ func ExtPHY(ctx context.Context, p Params) (Result, error) {
 			np, beta, drain.Duration*1e3, serial.Duration/drain.Duration)
 	}
 
-	// ---- ADC saturation ----
-	clean, err := baseband.Run(baseband.Config{
+	// ---- ADC saturation: the same draws, received clean and clipped ----
+	unclipped := baseband.Config{
 		Mod: baseband.QPSK, SNRStrongDB: 40, SNRWeakDB: 10,
 		Symbols: symbols, Seed: p.Seed + 9,
-	})
+	}
+	clipped := unclipped
+	clipped.ClipAmplitude = 50 // ≈ half the strong signal's amplitude
+	pair, err := baseband.Sweep([]baseband.Config{unclipped, clipped})
 	if err != nil {
 		return Result{}, err
 	}
-	sat, err := baseband.Run(baseband.Config{
-		Mod: baseband.QPSK, SNRStrongDB: 40, SNRWeakDB: 10,
-		Symbols: symbols, Seed: p.Seed + 9,
-		ClipAmplitude: 50, // ≈ half the strong signal's amplitude
-	})
-	if err != nil {
-		return Result{}, err
-	}
+	clean, sat := pair[0], pair[1]
 	metrics["weak_ser_no_clip"] = clean.SERWeak
 	metrics["weak_ser_clipped"] = sat.SERWeak
 	fmt.Fprintf(&text, "\nADC saturation at 30 dB disparity: weak SER %.4g → %.4g when the\n"+
@@ -139,25 +135,30 @@ func ExtPHY(ctx context.Context, p Params) (Result, error) {
 		clean.SERWeak, sat.SERWeak)
 
 	// ---- SER sweep: the PHY validation curve as a figure ----
-	var sweepDB, serSIC, serAlone, serTheory []float64
+	var sweepDB []float64
+	var sweep []baseband.Config
 	for db := 5.0; db <= 13; db += 0.5 {
-		res, err := baseband.Run(baseband.Config{
+		sweepDB = append(sweepDB, db)
+		sweep = append(sweep, baseband.Config{
 			Mod: baseband.QPSK, SNRStrongDB: 30, SNRWeakDB: db,
 			Symbols: symbols, Pilots: 0, Seed: p.Seed + 77,
 		})
-		if err != nil {
-			return Result{}, err
+	}
+	sers, err := baseband.Sweep(sweep)
+	if err != nil {
+		return Result{}, err
+	}
+	log10 := func(v float64) float64 {
+		if v <= 0 {
+			v = 0.5 / float64(symbols) // half an error: plot floor
 		}
-		log10 := func(v float64) float64 {
-			if v <= 0 {
-				v = 0.5 / float64(symbols) // half an error: plot floor
-			}
-			return math.Log10(v)
-		}
-		sweepDB = append(sweepDB, db)
+		return math.Log10(v)
+	}
+	var serSIC, serAlone, serTheory []float64
+	for i, res := range sers {
 		serSIC = append(serSIC, log10(res.SERWeak))
 		serAlone = append(serAlone, log10(res.SERWeakAlone))
-		serTheory = append(serTheory, log10(baseband.TheoreticalSER(baseband.QPSK, phy.FromDB(db))))
+		serTheory = append(serTheory, log10(baseband.TheoreticalSER(baseband.QPSK, phy.FromDB(sweepDB[i]))))
 	}
 	serSVG := plot.XYPlotSVG("Weak-signal SER after SIC (QPSK, strong at 30 dB)",
 		"weak SNR (dB)", "log10(SER)",

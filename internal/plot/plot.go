@@ -120,14 +120,22 @@ func CDFPlot(title string, width, height int, series ...Series) string {
 	return b.String()
 }
 
-// WriteGridCSV exports a grid as "x,y,value" rows with a header.
+// WriteGridCSV exports a grid as "x,y,value" rows with a header. Rows are
+// rendered into one reused buffer, as in WriteSeriesCSV.
 func WriteGridCSV(w io.Writer, g *stats.Grid, xName, yName, vName string) error {
-	if _, err := fmt.Fprintf(w, "%s,%s,%s\n", xName, yName, vName); err != nil {
+	if _, err := io.WriteString(w, xName+","+yName+","+vName+"\n"); err != nil {
 		return err
 	}
+	buf := make([]byte, 0, 64)
 	for j := 0; j < g.NY; j++ {
 		for i := 0; i < g.NX; i++ {
-			if _, err := fmt.Fprintf(w, "%g,%g,%g\n", g.X(i), g.Y(j), g.At(i, j)); err != nil {
+			buf = strconv.AppendFloat(buf[:0], g.X(i), 'g', -1, 64)
+			buf = append(buf, ',')
+			buf = strconv.AppendFloat(buf, g.Y(j), 'g', -1, 64)
+			buf = append(buf, ',')
+			buf = strconv.AppendFloat(buf, g.At(i, j), 'g', -1, 64)
+			buf = append(buf, '\n')
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
 		}

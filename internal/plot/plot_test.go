@@ -2,6 +2,8 @@ package plot
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -110,6 +112,33 @@ func TestWriteGridCSV(t *testing.T) {
 	want := "a,b,v\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n"
 	if buf.String() != want {
 		t.Errorf("CSV = %q, want %q", buf.String(), want)
+	}
+}
+
+// WriteGridCSV renders exactly what its former Fprintf("%g,%g,%g\n") rows
+// did, non-finite values and negative zero included.
+func TestWriteGridCSVMatchesFprintf(t *testing.T) {
+	g := stats.NewGrid(-1.5, math.Copysign(0, -1), 0.1, 1e-7, 4, 3)
+	vals := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		0, 1e21, 1e-5, 123456789, 0.1 + 0.2, -2.5e-300, math.MaxFloat64, 1.0 / 3,
+	}
+	for k, v := range vals {
+		g.Set(k%g.NX, k/g.NX, v)
+	}
+	var want bytes.Buffer
+	fmt.Fprintf(&want, "%s,%s,%s\n", "x", "y", "v")
+	for j := 0; j < g.NY; j++ {
+		for i := 0; i < g.NX; i++ {
+			fmt.Fprintf(&want, "%g,%g,%g\n", g.X(i), g.Y(j), g.At(i, j))
+		}
+	}
+	var got bytes.Buffer
+	if err := WriteGridCSV(&got, g, "x", "y", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("CSV:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }
 

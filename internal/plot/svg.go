@@ -19,11 +19,16 @@ func svgEscape(s string) string {
 	return r.Replace(s)
 }
 
-// heatColor maps a normalised value in [0,1] to a dark-to-light colour ramp
-// matching the paper's "lighter = higher" convention.
-func heatColor(v float64) string {
+// hexDigits are the lower-case digits of a "#rrggbb" colour.
+const hexDigits = "0123456789abcdef"
+
+// appendHeatColor appends the "#rrggbb" colour of a normalised value in
+// [0,1] on a dark-to-light ramp matching the paper's "lighter = higher"
+// convention. Each channel lies in [20, 255], so two hex digits always
+// render it as fmt's %02x would.
+func appendHeatColor(buf []byte, v float64) []byte {
 	if math.IsNaN(v) {
-		return "#ff00ff"
+		return append(buf, "#ff00ff"...)
 	}
 	if v < 0 {
 		v = 0
@@ -38,7 +43,10 @@ func heatColor(v float64) string {
 	if b > 255 {
 		b = 255
 	}
-	return fmt.Sprintf("#%02x%02x%02x", r, g, b)
+	return append(buf, '#',
+		hexDigits[r>>4], hexDigits[r&15],
+		hexDigits[g>>4], hexDigits[g&15],
+		hexDigits[b>>4], hexDigits[b&15])
 }
 
 // HeatmapSVG renders the grid as an SVG heatmap with axes and a value ramp.
@@ -67,12 +75,23 @@ func HeatmapSVG(g *stats.Grid, title, xLabel, yLabel string) string {
 	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="white"/>`+"\n", w, h)
 	fmt.Fprintf(&b, `<text x="%d" y="18" font-size="14">%s</text>`+"\n", margin, svgEscape(title))
 
+	// Each cell is rendered into one reused buffer, byte-equal to
+	// Fprintf(`<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>`).
+	var cellBuf []byte
 	for j := 0; j < g.NY; j++ {
 		for i := 0; i < g.NX; i++ {
-			x := margin + i*cell
-			y := titleH + (g.NY-1-j)*cell
-			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" fill="%s"/>`+"\n",
-				x, y, cell, cell, heatColor(norm(g.At(i, j))))
+			cellBuf = append(cellBuf[:0], `<rect x="`...)
+			cellBuf = strconv.AppendInt(cellBuf, int64(margin+i*cell), 10)
+			cellBuf = append(cellBuf, `" y="`...)
+			cellBuf = strconv.AppendInt(cellBuf, int64(titleH+(g.NY-1-j)*cell), 10)
+			cellBuf = append(cellBuf, `" width="`...)
+			cellBuf = strconv.AppendInt(cellBuf, cell, 10)
+			cellBuf = append(cellBuf, `" height="`...)
+			cellBuf = strconv.AppendInt(cellBuf, cell, 10)
+			cellBuf = append(cellBuf, `" fill="`...)
+			cellBuf = appendHeatColor(cellBuf, norm(g.At(i, j)))
+			cellBuf = append(cellBuf, "\"/>\n"...)
+			b.Write(cellBuf)
 		}
 	}
 
@@ -94,7 +113,7 @@ func HeatmapSVG(g *stats.Grid, title, xLabel, yLabel string) string {
 		v := 1 - float64(s)/float64(steps-1)
 		y := float64(titleH) + float64(s)*stepH
 		fmt.Fprintf(&b, `<rect x="%d" y="%.1f" width="%d" height="%.1f" fill="%s"/>`+"\n",
-			rampX, y, rampW, stepH+0.5, heatColor(v))
+			rampX, y, rampW, stepH+0.5, appendHeatColor(nil, v))
 	}
 	fmt.Fprintf(&b, `<text x="%d" y="%d">%.3g</text>`+"\n", rampX+rampW+4, titleH+10, hi)
 	fmt.Fprintf(&b, `<text x="%d" y="%d">%.3g</text>`+"\n", rampX+rampW+4, plotBottom, lo)
@@ -169,9 +188,8 @@ func CDFPlotSVG(title string, series ...Series) string {
 			ysv = append([]float64(nil), s.Y...)
 			sort.Sort(xyPoints{xsv, ysv})
 		}
-		// The path is built into a reused byte buffer; AppendFloat with
-		// 'f'/1 renders exactly fmt's %.1f, keeping the bytes identical to
-		// the former Fprintf-per-point version.
+		// The path is built into a reused byte buffer; appendFixed1 renders
+		// exactly fmt's %.1f.
 		path = append(path[:0], "M "...)
 		prevY := 0.0
 		path = appendPathPoint(path, px(xsv[0]), py(prevY))
@@ -199,9 +217,41 @@ func CDFPlotSVG(title string, series ...Series) string {
 // appendPathPoint appends "X Y" with one decimal place each, byte-equal to
 // fmt.Sprintf("%.1f %.1f", x, y).
 func appendPathPoint(buf []byte, x, y float64) []byte {
-	buf = strconv.AppendFloat(buf, x, 'f', 1, 64)
+	buf = appendFixed1(buf, x)
 	buf = append(buf, ' ')
-	return strconv.AppendFloat(buf, y, 'f', 1, 64)
+	return appendFixed1(buf, y)
+}
+
+// appendFixed1 appends x as strconv.AppendFloat(buf, x, 'f', 1, 64) does,
+// i.e. as fmt's %.1f, without strconv's multiprecision path, which 'f'
+// with an explicit precision always takes.
+//
+// For |x| < 2^48, t = |x|·10 rounded lies below 2^52, so its ulp is at
+// most 1/2, and e = FMA(|x|, 10, −t) is exact: |x|·10 = t + e with |e| at
+// most half an ulp of t. The exact value thus rounds to the nearest
+// integer u by t's fraction alone, unless that fraction is exactly 1/2:
+// then the sign of e decides, and e = 0 is a true tie, broken to even as
+// strconv breaks ties in the exact decimal expansion of x. math.FMA is
+// exact with or without hardware FMA.
+func appendFixed1(buf []byte, x float64) []byte {
+	a := math.Abs(x)
+	if !(a < 1<<48) { // NaN, ±Inf and large values
+		return strconv.AppendFloat(buf, x, 'f', 1, 64)
+	}
+	t := a * 10
+	e := math.FMA(a, 10, -t)
+	u := uint64(t)
+	// The fraction of t minus one half: exact for t ≥ 0.5, and of the
+	// right sign below.
+	switch d := t - float64(u) - 0.5; {
+	case d > 0, d == 0 && (e > 0 || e == 0 && u&1 == 1):
+		u++
+	}
+	if math.Signbit(x) {
+		buf = append(buf, '-')
+	}
+	buf = strconv.AppendUint(buf, u/10, 10)
+	return append(buf, '.', byte('0'+u%10))
 }
 
 // xyPoints sorts parallel x/y slices by x.

@@ -66,6 +66,7 @@ func XYPlotSVG(title, xLabel, yLabel string, series ...Series) string {
 	fmt.Fprintf(&b, `<text x="16" y="%d" transform="rotate(-90 16 %d)" text-anchor="middle">%s</text>`+"\n",
 		titleH+plotH/2, titleH+plotH/2, svgEscape(yLabel))
 
+	var path []byte
 	for si, s := range series {
 		if len(s.X) == 0 {
 			continue
@@ -75,12 +76,11 @@ func XYPlotSVG(title, xLabel, yLabel string, series ...Series) string {
 			// A single point renders as a marker.
 			fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="4" fill="%s"/>`+"\n", px(s.X[0]), py(s.Y[0]), color)
 		} else {
-			var path strings.Builder
-			fmt.Fprintf(&path, "M %.1f %.1f", px(s.X[0]), py(s.Y[0]))
+			path = appendPathPoint(append(path[:0], "M "...), px(s.X[0]), py(s.Y[0]))
 			for i := 1; i < len(s.X); i++ {
-				fmt.Fprintf(&path, " L %.1f %.1f", px(s.X[i]), py(s.Y[i]))
+				path = appendPathPoint(append(path, " L "...), px(s.X[i]), py(s.Y[i]))
 			}
-			fmt.Fprintf(&b, `<path d="%s" fill="none" stroke="%s" stroke-width="1.5"/>`+"\n", path.String(), color)
+			fmt.Fprintf(&b, `<path d="%s" fill="none" stroke="%s" stroke-width="1.5"/>`+"\n", path, color)
 		}
 		ly := titleH + plotH + 44 + si*18
 		fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" stroke-width="3"/>`+"\n",
