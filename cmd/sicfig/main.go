@@ -1,8 +1,8 @@
 // Command sicfig regenerates the paper's evaluation figures under a
 // supervised suite runner: every figure runs with panic isolation, a
 // per-figure deadline and transient-failure retries, and each completed
-// figure is checkpointed atomically so an interrupted suite resumes
-// without recomputing finished work.
+// figure's files are logged with their digests in <out>/checkpoints/log
+// so an interrupted suite resumes without recomputing finished work.
 //
 // Usage:
 //

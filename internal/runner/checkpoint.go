@@ -6,28 +6,29 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/atomicio"
 	"repro/internal/experiments"
 )
 
-// The checkpoint directory layout:
-//
-//	<dir>/manifest.json   checksummed index: figure ID → params hash + payload checksum
-//	<dir>/<figID>.json    checksummed figure payload (the full Result)
-//
-// Every file is a self-checksummed envelope written atomically, and the
-// manifest additionally records each payload's checksum, so truncation,
-// bit rot and stale payload files are all detected on load and answered by
-// recomputing the figure rather than serving bad data. A figure is durable
-// once its payload AND the manifest naming it are on disk; a crash between
-// the two writes merely recomputes that figure on resume.
+// The checkpoint store is one append-only log, <OutDir>/checkpoints/log:
+// an atomicio.Log, whose records are length-prefixed and CRC-32 checked
+// and whose torn tail is truncated on open. Each completed figure appends
+// one record holding its params key, Title, Text and Metrics, and the
+// SHA-256 of every output file. The files themselves live only in OutDir.
+// Run writes them, each atomically, before it appends and syncs the
+// record, so a record never names a file that was not on disk. A figure is
+// served from the log only if its key matches and every listed file still
+// has its recorded digest; a lost, torn or mismatched record only costs a
+// recompute. For a figure with several records the last one wins.
 
 // checkpointVersion is baked into every params key so a format change
 // invalidates old checkpoints wholesale.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // ErrNoCheckpoint reports that no completed checkpoint exists for a figure.
 var ErrNoCheckpoint = errors.New("runner: no checkpoint")
@@ -36,17 +37,9 @@ var ErrNoCheckpoint = errors.New("runner: no checkpoint")
 // different parameters, so serving it would silently return stale results.
 var ErrParamsChanged = errors.New("runner: checkpoint params changed")
 
-// ErrCorrupt reports a checkpoint or manifest that failed its checksum or
-// could not be decoded.
+// ErrCorrupt reports a checkpoint whose output files are missing from
+// OutDir or no longer match their recorded digests.
 var ErrCorrupt = errors.New("runner: corrupt checkpoint")
-
-// Checkpoint is the persisted record of one completed figure.
-type Checkpoint struct {
-	Result experiments.Result `json:"result"`
-	// SpreadUnavailable records that the seed-spread annotation failed for
-	// this figure, so a resumed suite keeps reporting it.
-	SpreadUnavailable bool `json:"spread_unavailable,omitempty"`
-}
 
 // ParamsKey fingerprints everything that determines a figure's output:
 // the figure ID, the full parameter set, the seed-spread width and the
@@ -71,127 +64,129 @@ func digest(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// envelope wraps every persisted file with a checksum over its payload.
-type envelope struct {
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
+// record is one completed figure in the checkpoint log.
+type record struct {
+	ID                string             `json:"id"`
+	Key               string             `json:"key"`
+	Title             string             `json:"title"`
+	Text              string             `json:"text"`
+	Metrics           map[string]float64 `json:"metrics"`
+	SpreadUnavailable bool               `json:"spread_unavailable,omitempty"`
+	// Files maps each output file name to the SHA-256 of its bytes.
+	Files map[string]string `json:"files"`
 }
 
-// writeEnvelope atomically writes payload in its checksummed envelope and
-// returns the checksum. payload must be json.Marshal output: that is
-// already compact and HTML-escaped, so splicing it in verbatim yields the
-// bytes json.Marshal(envelope{...}) would, without scanning the payload a
-// second time. Indenting instead would reformat the payload and break the
-// checksum on read-back.
-func writeEnvelope(path string, payload []byte) (string, error) {
-	sum := digest(payload)
-	blob := make([]byte, 0, len(payload)+len(sum)+len(`{"sha256":"","payload":}`)+1)
-	blob = append(blob, `{"sha256":"`...)
-	blob = append(blob, sum...)
-	blob = append(blob, `","payload":`...)
-	blob = append(blob, payload...)
-	blob = append(blob, "}\n"...)
-	if err := atomicio.WriteFile(path, blob, 0o644); err != nil {
-		return "", err
-	}
-	return sum, nil
-}
-
-// readEnvelope loads and verifies a checksummed file. Truncated, garbled
-// or tampered files come back as ErrCorrupt.
-func readEnvelope(path string) (json.RawMessage, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var env envelope
-	if err := json.Unmarshal(blob, &env); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-	}
-	if digest(env.Payload) != env.SHA256 {
-		return nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, path)
-	}
-	return env.Payload, nil
-}
-
-// manifestEntry indexes one completed figure.
-type manifestEntry struct {
-	ParamsHash string `json:"params_hash"`
-	Checksum   string `json:"checksum"`
-}
-
-// Store is the on-disk checkpoint store for one suite run.
+// Store is the checkpoint log of one output directory.
 type Store struct {
-	dir     string
-	entries map[string]manifestEntry
+	outDir string
+	log    *atomicio.Log
+	latest map[string]record
 }
 
-// OpenStore opens (creating if needed) the checkpoint directory and loads
-// its manifest. A missing or corrupt manifest is not an error — the store
-// starts empty and every figure recomputes, which is always safe.
-func OpenStore(dir string) (*Store, error) {
+// OpenStore opens, creating it if needed, the checkpoint log of outDir and
+// loads the last record of each figure. A torn tail is truncated and
+// reported to logw, and a record whose JSON does not decode is skipped:
+// either only makes the affected figures recompute. When the log holds
+// superseded or undecodable records, OpenStore rewrites it with one record
+// per figure, so it stays as small as the suite; a crash during the
+// rewrite only costs recomputes.
+func OpenStore(outDir string, logw io.Writer) (*Store, error) {
+	dir := filepath.Join(outDir, "checkpoints")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, entries: map[string]manifestEntry{}}
-	if payload, err := readEnvelope(s.manifestPath()); err == nil {
-		if err := json.Unmarshal(payload, &s.entries); err != nil {
-			s.entries = map[string]manifestEntry{}
+	path := filepath.Join(dir, "log")
+	l, payloads, torn, err := atomicio.OpenLog(path)
+	if err != nil {
+		return nil, err
+	}
+	if torn {
+		fmt.Fprintf(logw, "runner: %s: truncated a torn tail; the figures it held recompute\n", path)
+	}
+	s := &Store{outDir: outDir, log: l, latest: map[string]record{}}
+	last := map[string]int{}
+	for i, p := range payloads {
+		var rec record
+		if json.Unmarshal(p, &rec) != nil {
+			continue
 		}
+		s.latest[rec.ID] = rec
+		last[rec.ID] = i
+	}
+	if len(last) == len(payloads) {
+		return s, nil
+	}
+	keep := make([]int, 0, len(last))
+	for _, i := range last {
+		keep = append(keep, i)
+	}
+	sort.Ints(keep)
+	err = l.Reset()
+	for _, i := range keep {
+		if err == nil {
+			err = l.Append(payloads[i])
+		}
+	}
+	if err == nil {
+		err = l.Sync()
+	}
+	if err != nil {
+		_ = l.Close() // the compaction error is the one to report
+		return nil, fmt.Errorf("runner: compacting %s: %w", path, err)
 	}
 	return s, nil
 }
 
-func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
-
-func (s *Store) payloadPath(figID string) string {
-	return filepath.Join(s.dir, figID+".json")
-}
-
-// Save persists a completed figure: payload file first, then the manifest
-// entry pointing at it, each write atomic.
-func (s *Store) Save(figID, paramsHash string, cp Checkpoint) error {
-	payload, err := json.Marshal(cp)
+// Save appends figID's record and syncs the log. sums holds the digest of
+// each output file, as writeResultFiles returns them; the files must
+// already be on disk.
+func (s *Store) Save(figID, key string, res experiments.Result, spreadUnavailable bool, sums map[string]string) error {
+	rec := record{
+		ID: figID, Key: key, Title: res.Title, Text: res.Text, Metrics: res.Metrics,
+		SpreadUnavailable: spreadUnavailable, Files: sums,
+	}
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("runner: encoding checkpoint %s: %w", figID, err)
 	}
-	sum, err := writeEnvelope(s.payloadPath(figID), payload)
-	if err != nil {
-		return fmt.Errorf("runner: writing checkpoint %s: %w", figID, err)
+	if err := s.log.Append(payload); err != nil {
+		return fmt.Errorf("runner: checkpointing %s: %w", figID, err)
 	}
-	s.entries[figID] = manifestEntry{ParamsHash: paramsHash, Checksum: sum}
-	manifest, err := json.Marshal(s.entries)
-	if err != nil {
-		return fmt.Errorf("runner: encoding manifest: %w", err)
+	if err := s.log.Sync(); err != nil {
+		return fmt.Errorf("runner: checkpointing %s: %w", figID, err)
 	}
-	if _, err := writeEnvelope(s.manifestPath(), manifest); err != nil {
-		return fmt.Errorf("runner: writing manifest: %w", err)
-	}
+	s.latest[figID] = rec
 	return nil
 }
 
-// Load returns the checkpoint for figID if one exists, was computed under
-// paramsHash, and passes both the manifest cross-check and its own
-// checksum. Any other outcome is an error explaining why the figure will
+// Load returns figID's checkpoint if it was computed under key and every
+// output file it lists is in OutDir with its recorded digest. The Result's
+// Files hold the bytes read back, so it equals the Result the driver
+// returned. Any other outcome is an error saying why the figure will
 // recompute.
-func (s *Store) Load(figID, paramsHash string) (Checkpoint, error) {
-	e, ok := s.entries[figID]
+func (s *Store) Load(figID, key string) (res experiments.Result, spreadUnavailable bool, err error) {
+	rec, ok := s.latest[figID]
 	if !ok {
-		return Checkpoint{}, ErrNoCheckpoint
+		return res, false, ErrNoCheckpoint
 	}
-	if e.ParamsHash != paramsHash {
-		return Checkpoint{}, ErrParamsChanged
+	if rec.Key != key {
+		return res, false, ErrParamsChanged
 	}
-	payload, err := readEnvelope(s.payloadPath(figID))
-	if err != nil {
-		return Checkpoint{}, err
+	files := make(map[string]string, len(rec.Files))
+	for name, sum := range rec.Files {
+		path := filepath.Join(s.outDir, name)
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return res, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if digest(blob) != sum {
+			return res, false, fmt.Errorf("%w: %s does not match its recorded digest", ErrCorrupt, path)
+		}
+		files[name] = string(blob)
 	}
-	if digest(payload) != e.Checksum {
-		return Checkpoint{}, fmt.Errorf("%w: %s: payload does not match manifest", ErrCorrupt, s.payloadPath(figID))
-	}
-	var cp Checkpoint
-	if err := json.Unmarshal(payload, &cp); err != nil {
-		return Checkpoint{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, s.payloadPath(figID), err)
-	}
-	return cp, nil
+	res = experiments.Result{ID: rec.ID, Title: rec.Title, Text: rec.Text, Files: files, Metrics: rec.Metrics}
+	return res, rec.SpreadUnavailable, nil
 }
+
+// Close syncs and closes the log.
+func (s *Store) Close() error { return s.log.Close() }

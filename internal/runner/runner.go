@@ -3,8 +3,9 @@
 // every figure runs under a per-figure deadline, panics in a driver are
 // recovered (with stack) and recorded instead of killing the process,
 // transient failures retry with capped exponential backoff, and each
-// completed figure is persisted atomically into a checksummed checkpoint
-// store so an interrupted suite resumes without recomputing finished work.
+// completed figure's output files are written atomically and then logged,
+// with their SHA-256 digests, in an append-only checkpoint log, so an
+// interrupted suite resumes without recomputing finished work.
 // The suite always ends with a per-figure status report; whether anything
 // actually failed is the caller's exit-code decision, made from Report.
 package runner
@@ -125,11 +126,9 @@ type Options struct {
 	// Seeds > 1 additionally annotates each metric with its min/max across
 	// that many seeds (the -seeds flag).
 	Seeds int
-	// OutDir receives the figure CSV/SVG outputs. Defaults to "results".
+	// OutDir receives the figure CSV/SVG outputs, and the checkpoint log
+	// at <OutDir>/checkpoints/log. Defaults to "results".
 	OutDir string
-	// CheckpointDir holds the checkpoint store. Defaults to
-	// <OutDir>/checkpoints.
-	CheckpointDir string
 	// FigTimeout bounds each driver attempt (0 = no per-figure deadline).
 	// Deadlines propagate through the drivers' context checks; a driver
 	// that ignores its context is not preempted.
@@ -138,9 +137,8 @@ type Options struct {
 	// after its first attempt. Context errors and panics never retry.
 	Retries int
 	// RetryBackoff is the first retry delay, doubled per retry up to
-	// MaxBackoff. Defaults: 250ms, capped at 5s.
+	// 5s. Defaults to 250ms.
 	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
 	// KeepGoing continues past failed figures; when false the first
 	// failure marks the rest of the suite skipped.
 	KeepGoing bool
@@ -163,17 +161,11 @@ func (o *Options) withDefaults() Options {
 	if opts.OutDir == "" {
 		opts.OutDir = "results"
 	}
-	if opts.CheckpointDir == "" {
-		opts.CheckpointDir = filepath.Join(opts.OutDir, "checkpoints")
-	}
 	if opts.Seeds < 1 {
 		opts.Seeds = 1
 	}
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 250 * time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 5 * time.Second
 	}
 	if opts.Log == nil {
 		opts.Log = io.Discard
@@ -181,20 +173,28 @@ func (o *Options) withDefaults() Options {
 	return opts
 }
 
+// maxBackoff caps the retry delay.
+const maxBackoff = 5 * time.Second
+
 // Run executes the suite under ctx and returns the per-figure report. The
-// returned error covers infrastructure only (an unusable output or
-// checkpoint directory); figure failures live in the report so one bad
+// returned error covers infrastructure only (an unusable output directory
+// or checkpoint log); figure failures live in the report so one bad
 // driver never takes down the rest of the suite.
-func Run(ctx context.Context, runners []experiments.Runner, o Options) (*Report, error) {
+func Run(ctx context.Context, runners []experiments.Runner, o Options) (rep *Report, err error) {
 	opts := o.withDefaults()
 	if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: creating output directory: %w", err)
 	}
-	store, err := OpenStore(opts.CheckpointDir)
+	store, err := OpenStore(opts.OutDir, opts.Log)
 	if err != nil {
-		return nil, fmt.Errorf("runner: opening checkpoint store: %w", err)
+		return nil, fmt.Errorf("runner: opening checkpoint log: %w", err)
 	}
-	rep := &Report{Metrics: map[string]map[string]float64{}}
+	defer func() {
+		if cerr := store.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("runner: closing checkpoint log: %w", cerr)
+		}
+	}()
+	rep = &Report{Metrics: map[string]map[string]float64{}}
 	aborted := false
 	for _, r := range runners {
 		fs := FigureStatus{ID: r.ID, Title: r.Title}
@@ -207,21 +207,16 @@ func Run(ctx context.Context, runners []experiments.Runner, o Options) (*Report,
 		key := ParamsKey(r.ID, opts.Params, opts.Seeds)
 
 		if opts.Resume {
-			cp, err := store.Load(r.ID, key)
+			res, spreadUnavailable, err := store.Load(r.ID, key)
 			switch {
 			case err == nil:
-				// Re-publish the figure's files so OutDir is complete even
-				// if the interrupted run died between file writes.
-				if err := writeResultFiles(opts, cp.Result); err != nil {
-					return nil, err
-				}
 				fs.Status = StatusCached
-				fs.SpreadUnavailable = cp.SpreadUnavailable
-				rep.Metrics[cp.Result.ID] = cp.Result.Metrics
+				fs.SpreadUnavailable = spreadUnavailable
+				rep.Metrics[res.ID] = res.Metrics
 				opts.observeFigure(fs)
 				rep.Figures = append(rep.Figures, fs)
 				if opts.OnResult != nil {
-					opts.OnResult(cp.Result, true)
+					opts.OnResult(res, true)
 				}
 				continue
 			case errors.Is(err, ErrNoCheckpoint):
@@ -264,10 +259,11 @@ func Run(ctx context.Context, runners []experiments.Runner, o Options) (*Report,
 			continue
 		}
 
-		if err := writeResultFiles(opts, res); err != nil {
+		sums, err := writeResultFiles(opts, res)
+		if err != nil {
 			return nil, err
 		}
-		if err := store.Save(r.ID, key, Checkpoint{Result: res, SpreadUnavailable: fs.SpreadUnavailable}); err != nil {
+		if err := store.Save(r.ID, key, res, fs.SpreadUnavailable, sums); err != nil {
 			return nil, err
 		}
 		fs.Status = StatusOK
@@ -310,8 +306,8 @@ func runWithRetries(ctx context.Context, r experiments.Runner, opts Options) (ex
 		case <-ctx.Done():
 			return experiments.Result{}, attempts, ctx.Err()
 		}
-		if backoff *= 2; backoff > opts.MaxBackoff {
-			backoff = opts.MaxBackoff
+		if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 	}
 }
@@ -365,21 +361,25 @@ func spreadMetrics(ctx context.Context, r experiments.Runner, opts Options, res 
 }
 
 // writeResultFiles atomically publishes a figure's output files into
-// OutDir, in deterministic name order.
-func writeResultFiles(opts Options, res experiments.Result) error {
+// OutDir, in deterministic name order, and returns the SHA-256 of each
+// file's bytes for the figure's checkpoint record.
+func writeResultFiles(opts Options, res experiments.Result) (map[string]string, error) {
 	names := make([]string, 0, len(res.Files))
 	for name := range res.Files {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	sums := make(map[string]string, len(names))
 	for _, name := range names {
 		path := filepath.Join(opts.OutDir, name)
-		if err := atomicio.WriteFile(path, []byte(res.Files[name]), 0o644); err != nil {
-			return fmt.Errorf("runner: writing %s: %w", path, err)
+		data := []byte(res.Files[name])
+		if err := atomicio.WriteFile(path, data, 0o644); err != nil {
+			return nil, fmt.Errorf("runner: writing %s: %w", path, err)
 		}
+		sums[name] = digest(data)
 		fmt.Fprintf(opts.Log, "  wrote %s\n", path)
 	}
-	return nil
+	return sums, nil
 }
 
 // observeFigure publishes one settled figure row to the registry: how long

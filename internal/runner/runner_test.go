@@ -26,8 +26,8 @@ func testParams() experiments.Params {
 	return p
 }
 
-// fixed returns a deterministic fake driver whose metrics depend on the
-// params seed, mimicking a real figure.
+// fixed returns a deterministic fake driver whose metrics and output file
+// depend on the params seed, mimicking a real figure.
 func fixed(id string, calls *atomic.Int32) experiments.Runner {
 	return experiments.Runner{
 		ID:    id,
@@ -43,7 +43,7 @@ func fixed(id string, calls *atomic.Int32) experiments.Runner {
 				ID:      id,
 				Title:   "fake " + id,
 				Text:    "text",
-				Files:   map[string]string{id + ".csv": "x,y\n1,2\n"},
+				Files:   map[string]string{id + ".csv": fmt.Sprintf("x,y\n1,%d\n", p.Seed)},
 				Metrics: map[string]float64{"m": float64(p.Seed)},
 			}, nil
 		},
@@ -72,11 +72,10 @@ func baseOpts(t *testing.T) Options {
 	t.Helper()
 	dir := t.TempDir()
 	return Options{
-		Params:        testParams(),
-		OutDir:        filepath.Join(dir, "out"),
-		CheckpointDir: filepath.Join(dir, "out", "checkpoints"),
-		RetryBackoff:  time.Millisecond,
-		KeepGoing:     true,
+		Params:       testParams(),
+		OutDir:       filepath.Join(dir, "out"),
+		RetryBackoff: time.Millisecond,
+		KeepGoing:    true,
 	}
 }
 
