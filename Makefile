@@ -34,10 +34,12 @@ fuzz:
 	$(GO) test -fuzz='^FuzzReader$$' -fuzztime=10s ./internal/capture/
 	$(GO) test -fuzz='^FuzzReadSnapshots$$' -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz='^FuzzDecodeReport$$' -fuzztime=10s ./internal/schedd/
+	$(GO) test -fuzz='^FuzzSchedReplyEncode$$' -fuzztime=10s ./internal/schedd/
 	$(GO) test -fuzz='^FuzzLogParse$$' -fuzztime=10s ./internal/atomicio/
 	$(GO) test -fuzz='^FuzzDecodeHandoff$$' -fuzztime=10s ./internal/session/
 	$(GO) test -fuzz='^FuzzDecodeWALRecord$$' -fuzztime=10s ./internal/session/
 	$(GO) test -fuzz='^FuzzFastReject$$' -fuzztime=10s ./internal/gateway/
+	$(GO) test -fuzz='^FuzzShardReplyDecode$$' -fuzztime=10s ./internal/gateway/
 	$(GO) test -fuzz='^FuzzAppendFixed1$$' -fuzztime=10s ./internal/plot/
 
 bench:

@@ -11,6 +11,8 @@ import (
 	"net"
 	"syscall"
 	"time"
+
+	"repro/internal/schedd"
 )
 
 const (
@@ -108,8 +110,14 @@ func (s *Server) roundTrip(ctx context.Context, sh *shardState, line string, tim
 	if err == nil && bytes.HasPrefix(reply, shuttingDown) {
 		err = fmt.Errorf("gateway: shard %s is shutting down", sh.addr.Name)
 	}
-	if err == nil && out != nil {
-		err = json.Unmarshal(reply, out)
+	if err == nil {
+		switch out := out.(type) {
+		case nil:
+		case *shardReply:
+			err = out.decode(reply)
+		default:
+			err = json.Unmarshal(reply, out)
+		}
 	}
 	if err != nil {
 		c.conn.Close()
@@ -159,4 +167,15 @@ func (sh *shardState) closePool() {
 	for _, c := range idle {
 		c.conn.Close()
 	}
+}
+
+// decode sets r to what json.Unmarshal into a zero shardReply sets and
+// returns what it returns: schedd.DecodeReply parses the canonical replies
+// a shard writes, and json.Unmarshal everything else.
+func (r *shardReply) decode(data []byte) error {
+	var ok bool
+	if r.SchedReply, r.ErrorReply, ok = schedd.DecodeReply(data); ok {
+		return nil
+	}
+	return json.Unmarshal(data, r) // r is zero: DecodeReply failed
 }

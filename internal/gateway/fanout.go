@@ -57,6 +57,49 @@ type schedResponse struct {
 	ElapsMS  float64       `json:"elapsed_ms"`
 }
 
+// AppendJSON encodes the part as json.Marshal does.
+func (p shardPart) AppendJSON(dst []byte) ([]byte, error) {
+	dst = serve.AppendString(append(dst, `{"shard":`...), p.Shard)
+	if p.Level != "" {
+		dst = serve.AppendString(append(dst, `,"level":`...), p.Level)
+	}
+	dst = strconv.AppendInt(append(dst, `,"clients":`...), int64(p.Clients), 10)
+	if p.Hedged {
+		dst = append(dst, `,"hedged":true`...)
+	}
+	if p.Shadow {
+		dst = append(dst, `,"shadow":true`...)
+	}
+	if p.Error != "" {
+		dst = serve.AppendString(append(dst, `,"error":`...), p.Error)
+	}
+	return append(dst, '}'), nil
+}
+
+// AppendJSON encodes the merged reply as json.Marshal does; see
+// serve.JSONAppender.
+func (r schedResponse) AppendJSON(dst []byte) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"ap":`...), uint64(r.AP), 10)
+	dst = strconv.AppendBool(append(dst, `,"degraded":`...), r.Degraded)
+	dst = strconv.AppendUint(append(dst, `,"epoch":`...), r.Epoch, 10)
+	dst = strconv.AppendInt(append(dst, `,"clients":`...), int64(r.Clients), 10)
+	var err error
+	if dst, err = serve.AppendFloat(append(dst, `,"total_ms":`...), r.TotalMS); err != nil {
+		return dst, err
+	}
+	if dst, err = serve.AppendFloat(append(dst, `,"gain":`...), r.Gain); err != nil {
+		return dst, err
+	}
+	if dst, err = serve.AppendArray(append(dst, `,"slots":`...), r.Slots); err != nil {
+		return dst, err
+	}
+	if dst, err = serve.AppendArray(append(dst, `,"shards":`...), r.Shards); err != nil {
+		return dst, err
+	}
+	dst, err = serve.AppendFloat(append(dst, `,"elapsed_ms":`...), r.ElapsMS)
+	return append(dst, '}'), err
+}
+
 // shardStatus is one shard's line in the gateway HEALTH reply.
 type shardStatus struct {
 	Name     string `json:"name"`
@@ -183,9 +226,14 @@ func (s *Server) serveSched(ctx context.Context, ap uint32) any {
 	defer cancel()
 	launched := len(targets) + len(shadows)
 	results := make(chan partOutcome, launched)
+	hedgeable := canHedge(live, targets)
 	for t, sts := range targets {
 		s.queryEvents.Inc("fanout")
-		go s.queryWithHedge(qctx, t, s.hedgeTarget(live, sts, targets), ap, results)
+		hedge := -1
+		if hedgeable {
+			hedge = s.hedgeTarget(live, sts, targets)
+		}
+		go s.queryWithHedge(qctx, t, hedge, ap, results)
 		if !shadows[t] {
 			continue
 		}
@@ -250,6 +298,13 @@ func (s *Server) planTargets(live, full *hashRing, stations []uint32) (map[int][
 		}
 	}
 	return targets, shadows, primaryDown
+}
+
+// canHedge reports whether any fan-out target can have a hedge. A hedge
+// goes to a live shard that is not already a target, so while every live
+// shard is a target hedgeTarget is −1 by construction and is not computed.
+func canHedge(live *hashRing, targets map[int][]uint32) bool {
+	return live.memberCount() > len(targets)
 }
 
 // hedgeTarget picks where to hedge a slow target's query: the live-ring

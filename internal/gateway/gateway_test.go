@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -432,6 +433,123 @@ func TestGatewayHedgeMasksOneWayDeafShard(t *testing.T) {
 	})
 	if p.accepted.Load() <= healedAt {
 		t.Fatal("the clean answer came over a connection from the partition; a timed-out connection was pooled")
+	}
+}
+
+// ownedStations returns n stations whose owner and first replica on ring
+// are the given shards.
+func ownedStations(t *testing.T, ring *hashRing, owner, replica, n int) []uint32 {
+	t.Helper()
+	var out []uint32
+	for st := uint32(1); len(out) < n && st < 100000; st++ {
+		if succ := ring.successors(st, 2); len(succ) == 2 && succ[0] == owner && succ[1] == replica {
+			out = append(out, st)
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("could not find %d stations with owner %d, replica %d", n, owner, replica)
+	}
+	return out
+}
+
+// TestHedgeOnlyWhenAHedgeCanFire pins both sides of the hedge rule. A
+// fan-out computes hedge targets only while some live shard is not a
+// target: with every live shard a target — both shards of a two-shard
+// tier, or two live shards of three — canHedge is false, and on random
+// rings hedgeTarget is −1 for every target whenever canHedge is false, so
+// skipping it changes no hedge decision. On the wire, a SCHED whose
+// primary never answers is served by the hedge after HedgeDelay, long
+// before the primary's attempt times out; on a two-shard tier with both
+// shards targets the same deaf primary fails its part without a hedge.
+func TestHedgeOnlyWhenAHedgeCanFire(t *testing.T) {
+	names := []string{"shard-a", "shard-b", "shard-c", "shard-d"}
+	s := &Server{}
+	ring3 := buildRing(names[:3], allLive(3), 64, 1)
+	onA, onB, onC := ownedStations(t, ring3, 0, 2, 3), ownedStations(t, ring3, 1, 0, 3), ownedStations(t, ring3, 2, 0, 3)
+	targets := map[int][]uint32{0: onA, 1: onB}
+	if !canHedge(ring3, targets) {
+		t.Fatal("canHedge false although shard-c is live and not a target")
+	}
+	if got := s.hedgeTarget(ring3, onA, targets); got != 2 {
+		t.Fatalf("hedgeTarget = %d, want 2", got)
+	}
+	targets[2] = onC
+	if canHedge(ring3, targets) {
+		t.Fatal("canHedge true although every live shard is a target")
+	}
+	ring2 := buildRing(names[:2], allLive(2), 64, 1)
+	on0 := ownedStations(t, ring2, 0, 1, 2)
+	if canHedge(ring2, map[int][]uint32{0: on0, 1: ownedStations(t, ring2, 1, 0, 2)}) {
+		t.Fatal("canHedge true on a two-shard tier with both shards targets")
+	}
+	if one := map[int][]uint32{0: on0}; !canHedge(ring2, one) || s.hedgeTarget(ring2, on0, one) != 1 {
+		t.Fatal("an AP on one shard of a two-shard tier cannot hedge to the other")
+	}
+	cDown := buildRing(names[:3], []bool{true, true, false}, 64, 2)
+	if canHedge(cDown, map[int][]uint32{0: ownedStations(t, cDown, 0, 1, 2), 1: ownedStations(t, cDown, 1, 0, 2)}) {
+		t.Fatal("canHedge true with shard-c off the live ring and both live shards targets")
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 500; i++ {
+		n := 2 + rng.Intn(3)
+		live := allLive(n)
+		for j := range live {
+			live[j] = rng.Intn(4) > 0
+		}
+		ring := buildRing(names[:n], live, 64, 1)
+		stations := make([]uint32, 1+rng.Intn(12))
+		for j := range stations {
+			stations[j] = uint32(1 + rng.Intn(5000))
+		}
+		tgts, _, _ := s.planTargets(ring, buildRing(names[:n], allLive(n), 64, 1), stations)
+		if canHedge(ring, tgts) {
+			continue
+		}
+		for tg, sts := range tgts {
+			if h := s.hedgeTarget(ring, sts, tgts); h != -1 {
+				t.Fatalf("live %v, targets %v: canHedge false but target %d hedges to %d", live, tgts, tg, h)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		shards, replica int
+		shardDeadline   time.Duration
+		hedges          int64
+	}{{3, 2, 2 * time.Second, 1}, {2, 0, 200 * time.Millisecond, 0}} {
+		chaos, err := emu.NewWireChaos(emu.FaultModel{}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := startTier(t, tc.shards, func(cfg *Config) {
+			p := startDeafProxy(t, cfg.Shards[1].TCP, chaos)
+			cfg.Shards[1].TCP = p.ln.Addr().String()
+			cfg.ShardDeadline = tc.shardDeadline
+			cfg.ShardRetries = 1
+			cfg.HedgeDelay = 20 * time.Millisecond
+			cfg.QueryDeadline = 5 * time.Second
+		})
+		ring := buildRing(names[:tc.shards], allLive(tc.shards), 64, 1)
+		stations := ownedStations(t, ring, 1, tc.replica, 4)
+		if tc.shards == 2 {
+			stations = append(stations, ownedStations(t, ring, 0, 1, 4)...)
+		}
+		sendReports(t, tr.gw, reportRound(stations, 3, 1))
+		waitFor(t, 5*time.Second, "every shard to hold its reports", func() bool {
+			return tr.shards[names[tc.replica]].Counters().Get("reports_ok") >= int64(len(stations))
+		})
+		chaos.SetPartition(emu.DirOut)
+		var resp schedResponse
+		gwQuery(t, tr.gw, "SCHED 3", &resp)
+		if got := tr.gw.QueryEvents().Get("hedges"); got != tc.hedges {
+			t.Fatalf("%d shards: hedges = %d, want %d (resp %+v)", tc.shards, got, tc.hedges, resp)
+		}
+		if tc.hedges > 0 && (resp.ElapsMS >= float64(tc.shardDeadline.Milliseconds()) || len(slotStations(resp)) != len(stations)) {
+			t.Fatalf("%d shards: the hedge did not answer before the primary's deadline (resp %+v)", tc.shards, resp)
+		}
+		if !resp.Degraded {
+			t.Fatalf("%d shards: reply not degraded although the primary never answered", tc.shards)
+		}
 	}
 }
 

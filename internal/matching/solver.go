@@ -22,6 +22,10 @@ import (
 //     solve of the same instance (ties may be broken differently); the test
 //     suite pins this against ExactMinCostPerfect on thousands of perturbed
 //     random instances.
+//   - A Warm with no cost edit since the last successful solve returns
+//     that solve's matching and total unchanged: the held matching is
+//     still optimal, and re-running surgery could only re-break ties.
+//     A SetCost writing the value already held is not an edit.
 //   - Warm falls back to a cold solve internally whenever the saved state
 //     is unusable (first solve after Reset, a previous error, or the rare
 //     dual-parity stall after warm surgery), so callers may use Warm
@@ -44,6 +48,7 @@ type Solver struct {
 	limit int64   // per-edge cost bound for the current n (overflow guard)
 	cost  []int64 // flat [n*n] symmetric cost table, diagonal zero
 	mate  []int   // result of the last solve, [n]
+	total int64   // cost of mate
 
 	big  int64 // sticky max-weight transform base, weights are big − cost
 	maxC int64 // largest cost ever set since Reset
@@ -166,6 +171,8 @@ func (s *Solver) Solve(ctx context.Context) (int64, error) {
 // Warm re-solves the current instance, resuming from the previous solve's
 // dual variables and matching when possible (see CanWarm); otherwise it
 // behaves exactly like Solve. The result is cost-identical to a cold solve.
+// With no SetCost edit since the last successful solve it returns that
+// solve's total, and Mates its matching, without re-solving.
 func (s *Solver) Warm(ctx context.Context) (int64, error) {
 	return s.run(ctx, true)
 }
@@ -175,8 +182,11 @@ func (s *Solver) run(ctx context.Context, wantWarm bool) (int64, error) {
 		return 0, err
 	}
 	if s.n == 0 {
-		s.markSolved()
+		s.markSolved(0)
 		return 0, nil
+	}
+	if wantWarm && s.warm && len(s.dirty) == 0 && !s.dirtyAll {
+		return s.total, nil
 	}
 	if ctx.Done() != nil {
 		s.stopCtx = ctx
@@ -185,7 +195,7 @@ func (s *Solver) run(ctx context.Context, wantWarm bool) (int64, error) {
 		if s.resolveWarm() && !s.b.aborted {
 			if total, err := s.extract(); err == nil {
 				s.stopCtx = nil
-				s.markSolved()
+				s.markSolved(total)
 				return total, nil
 			}
 		}
@@ -207,13 +217,14 @@ func (s *Solver) run(ctx context.Context, wantWarm bool) (int64, error) {
 		s.warm = false
 		return 0, err
 	}
-	s.markSolved()
+	s.markSolved(total)
 	return total, nil
 }
 
-// markSolved records that the blossom state now reflects the current cost
-// table, making it a valid warm-start point.
-func (s *Solver) markSolved() {
+// markSolved records that the blossom state and mate now reflect the
+// current cost table, at cost total, making it a valid warm-start point.
+func (s *Solver) markSolved(total int64) {
+	s.total = total
 	s.warm = true
 	s.dirty = s.dirty[:0]
 	s.dirtyAll = false

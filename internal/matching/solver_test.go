@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -140,6 +141,63 @@ func TestSolverWarmAgainstExact(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("n=%d round=%d: warm total %d, exact optimum %d", n, round, got, want)
+			}
+		}
+	}
+}
+
+// TestSolverWarmUnchangedTableKeepsMatching: on tie-heavy instances (costs
+// 1–4, so many perfect matchings share the optimum) a Warm with no cost
+// edit since the last solve returns the same mates and total, and so does
+// a Warm after SetCost writes of the values already held. Re-running warm
+// surgery on an unchanged table may re-break ties; the answer must not
+// move when nothing it depends on has.
+func TestSolverWarmUnchangedTableKeepsMatching(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := NewSolver()
+	ctx := context.Background()
+	for trial := 0; trial < 2000; trial++ {
+		n := 4 + 2*rng.Intn(16)
+		cost := randCostMatrix(rng, n, 3)
+		for i := range cost {
+			for j := range cost[i] {
+				if i != j {
+					cost[i][j]++
+				}
+			}
+		}
+		if err := s.Reset(n); err != nil {
+			t.Fatal(err)
+		}
+		loadSolver(t, s, cost)
+		if _, err := s.Solve(ctx); err != nil {
+			t.Fatal(err)
+		}
+		i, j := rng.Intn(n), rng.Intn(n-1)
+		if j >= i {
+			j++
+		}
+		c := 1 + rng.Int63n(4)
+		cost[i][j], cost[j][i] = c, c
+		if err := s.SetCost(i, j, c); err != nil {
+			t.Fatal(err)
+		}
+		total, err := s.Warm(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mates := append([]int(nil), s.Mates()...)
+		for pass, rewrite := range []bool{false, true} {
+			if rewrite {
+				loadSolver(t, s, cost)
+			}
+			again, err := s.Warm(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != total || !slices.Equal(s.Mates(), mates) {
+				t.Fatalf("trial %d (n=%d) pass %d: unchanged table re-solved to total %d mates %v, want %d %v",
+					trial, n, pass, again, s.Mates(), total, mates)
 			}
 		}
 	}

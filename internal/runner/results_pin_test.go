@@ -12,11 +12,12 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestCommittedResultsReproduce pins the committed results/ directory:
-// every figure and ablation at paper scale (DefaultParams), run through
-// the suite runner, must reproduce results/metrics.json — serialised
-// exactly as `sicfig -all -ablations` writes it — and every committed
-// CSV/SVG byte for byte.
+// TestCommittedResultsReproduce pins the committed results/ directory in
+// both directions: every figure and ablation at paper scale
+// (DefaultParams), run through the suite runner, must reproduce
+// results/metrics.json — serialised exactly as `sicfig -all -ablations`
+// writes it — and every committed CSV/SVG byte for byte, and every file
+// the suite writes, checkpoints/ aside, must be committed.
 func TestCommittedResultsReproduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale suite")
@@ -59,6 +60,18 @@ func TestCommittedResultsReproduce(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s differs from the committed file: %s", e.Name(), firstDiff(got, want))
+		}
+	}
+	written, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range written {
+		if e.Name() == "checkpoints" {
+			continue
+		}
+		if _, err := os.Stat(filepath.Join(committed, e.Name())); err != nil {
+			t.Errorf("%s: written by the suite but not committed: %v", e.Name(), err)
 		}
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -498,3 +500,55 @@ func TestHealthShardIdentityAndEpoch(t *testing.T) {
 		t.Fatal("restarted shard reused its instance nonce")
 	}
 }
+
+// TestServerUnchangedTableSameSlots: two SCHEDs for one AP with no report
+// between them return the same slots. The AP's stations sit on three SNR
+// levels, so many schedules tie for the optimum; the second query warm
+// re-solves a table no report has changed and must keep the first one's
+// answer instead of re-breaking ties.
+func TestServerUnchangedTableSameSlots(t *testing.T) {
+	s, err := Start(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s)
+	rng := rand.New(rand.NewSource(unchangedTableSeed))
+	levels := []int32{8_000, 16_000, 24_000}
+	var reports []Report
+	for st := uint32(1); st <= 24; st++ {
+		reports = append(reports, Report{AP: 5, Station: st, Seq: 1, SNRMilliDB: levels[rng.Intn(3)]})
+	}
+	sendReports(t, s, reports...)
+	waitCounter(t, s, "reports_ok", 24)
+	c := dialQuery(t, s)
+	defer c.close()
+	sched := func() []Slot {
+		t.Helper()
+		if _, err := fmt.Fprintf(c.conn, "SCHED 5\n"); err != nil {
+			t.Fatal(err)
+		}
+		line, err := c.rd.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r SchedReply
+		if err := json.Unmarshal(line, &r); err != nil || r.Level != "blossom" {
+			t.Fatalf("SCHED 5 answered %s (%v), want a blossom schedule", line, err)
+		}
+		return r.Slots
+	}
+	sched()
+	moved := reports[rng.Intn(len(reports))]
+	moved.Seq, moved.SNRMilliDB = 2, levels[rng.Intn(3)]+1_000
+	sendReports(t, s, moved)
+	waitCounter(t, s, "reports_ok", 25)
+	first := sched()
+	if again := sched(); !slices.Equal(first, again) {
+		t.Fatalf("unchanged table answered\n%+v\nafter\n%+v", again, first)
+	}
+	if warm := s.PlannerEvents().Get("plan_warm"); warm != 2 {
+		t.Fatalf("plan_warm = %d, want 2: both later SCHEDs should reuse the held planner", warm)
+	}
+}
+
+const unchangedTableSeed = 9

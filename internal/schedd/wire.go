@@ -20,14 +20,20 @@
 //     "overloaded + retry-after" once the in-flight limit is hit.
 //
 // This file also declares the SCHED reply, the one query reply both tiers
-// exchange: shards write it, and the gateway decodes it and re-emits its
-// slots.
+// exchange, and its codec: shards write it through its own AppendJSON, and
+// the gateway reads it with DecodeReply and re-emits its slots.
 package schedd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
+	"strconv"
+
+	"repro/internal/sched"
+	"repro/internal/serve"
 )
 
 // Wire constants for the report datagram.
@@ -91,6 +97,236 @@ type Slot struct {
 	B     uint32  `json:"b,omitempty"`
 	Scale float64 `json:"scale,omitempty"`
 	MS    float64 `json:"ms"`
+}
+
+// AppendJSON encodes the reply as json.Marshal does; see
+// serve.JSONAppender.
+func (r SchedReply) AppendJSON(dst []byte) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"ap":`...), uint64(r.AP), 10)
+	dst = serve.AppendString(append(dst, `,"level":`...), r.Level)
+	dst = strconv.AppendInt(append(dst, `,"clients":`...), int64(r.Clients), 10)
+	var err error
+	if dst, err = serve.AppendFloat(append(dst, `,"total_ms":`...), r.TotalMS); err != nil {
+		return dst, err
+	}
+	if dst, err = serve.AppendFloat(append(dst, `,"gain":`...), r.Gain); err != nil {
+		return dst, err
+	}
+	if dst, err = serve.AppendArray(append(dst, `,"slots":`...), r.Slots); err != nil {
+		return dst, err
+	}
+	dst, err = serve.AppendFloat(append(dst, `,"elapsed_ms":`...), r.ElapsMS)
+	return append(dst, '}'), err
+}
+
+// AppendJSON encodes the slot as json.Marshal does.
+func (s Slot) AppendJSON(dst []byte) ([]byte, error) {
+	dst = serve.AppendString(append(dst, `{"mode":`...), s.Mode)
+	dst = strconv.AppendUint(append(dst, `,"a":`...), uint64(s.A), 10)
+	if s.B != 0 {
+		dst = strconv.AppendUint(append(dst, `,"b":`...), uint64(s.B), 10)
+	}
+	var err error
+	if s.Scale != 0 {
+		if dst, err = serve.AppendFloat(append(dst, `,"scale":`...), s.Scale); err != nil {
+			return dst, err
+		}
+	}
+	dst, err = serve.AppendFloat(append(dst, `,"ms":`...), s.MS)
+	return append(dst, '}'), err
+}
+
+// DecodeReply parses a reply in the bytes a shard writes for SCHED — a
+// SchedReply, or a serve.ErrorReply — and returns what json.Unmarshal
+// leaves in a zero struct embedding both. It accepts only the canonical
+// shape AppendJSON emits: that key order, no whitespace, strings of
+// printable ASCII without escapes. On any other input (reordered, unknown
+// or differently cased keys, whitespace, escapes, non-ASCII, out-of-range
+// numbers) it returns zero values and false, and the caller decodes with
+// json.Unmarshal. A canonical reply allocates only its slot slice and
+// error text, since the level and mode names shards write are interned.
+func DecodeReply(data []byte) (SchedReply, serve.ErrorReply, bool) {
+	p := replyParser{b: data, ok: true}
+	var r SchedReply
+	var e serve.ErrorReply
+	if p.lit(`{"error":`) {
+		e.Error = string(p.str())
+		if p.lit(`,"retry_after_ms":`) {
+			e.RetryAfterMS = int64(p.uint(math.MaxInt64))
+		}
+	} else {
+		p.want(`{"ap":`)
+		r.AP = uint32(p.uint(math.MaxUint32))
+		p.want(`,"level":`)
+		r.Level = intern(p.str())
+		p.want(`,"clients":`)
+		r.Clients = int(p.uint(math.MaxInt))
+		p.want(`,"total_ms":`)
+		r.TotalMS = p.float()
+		p.want(`,"gain":`)
+		r.Gain = p.float()
+		p.want(`,"slots":`)
+		r.Slots = p.slots()
+		p.want(`,"elapsed_ms":`)
+		r.ElapsMS = p.float()
+	}
+	if p.want("}"); p.ok && len(p.b) == 0 {
+		return r, e, true
+	}
+	return SchedReply{}, serve.ErrorReply{}, false
+}
+
+// replyParser walks one reply in the canonical shape. The first byte off
+// that shape clears ok, and every later step is then a no-op.
+type replyParser struct {
+	b  []byte
+	ok bool
+}
+
+// lit consumes s if the input continues with it.
+func (p *replyParser) lit(s string) bool {
+	if p.ok && len(p.b) >= len(s) && string(p.b[:len(s)]) == s {
+		p.b = p.b[len(s):]
+		return true
+	}
+	return false
+}
+
+// want consumes s, which must come next.
+func (p *replyParser) want(s string) {
+	if !p.lit(s) {
+		p.ok = false
+	}
+}
+
+// uint consumes a canonical non-negative integer no larger than max. It
+// reads at most 19 digits, which cannot overflow; a longer number leaves
+// a digit behind that fails the next step.
+func (p *replyParser) uint(max uint64) uint64 {
+	n, v := 0, uint64(0)
+	for ; n < len(p.b) && n < 19 && p.b[n] >= '0' && p.b[n] <= '9'; n++ {
+		v = 10*v + uint64(p.b[n]-'0')
+	}
+	if !p.ok || n == 0 || (n > 1 && p.b[0] == '0') || v > max {
+		p.ok = false
+		return 0
+	}
+	p.b = p.b[n:]
+	return v
+}
+
+// float consumes a JSON number and parses it as json.Unmarshal does.
+func (p *replyParser) float() float64 {
+	b, n := p.b, 0
+	digits := func() bool {
+		start := n
+		for n < len(b) && b[n] >= '0' && b[n] <= '9' {
+			n++
+		}
+		return n > start
+	}
+	if n < len(b) && b[n] == '-' {
+		n++
+	}
+	if n < len(b) && b[n] == '0' {
+		n++
+	} else if !digits() {
+		p.ok = false
+	}
+	if n < len(b) && b[n] == '.' {
+		n++
+		p.ok = p.ok && digits()
+	}
+	if n < len(b) && (b[n] == 'e' || b[n] == 'E') {
+		n++
+		if n < len(b) && (b[n] == '+' || b[n] == '-') {
+			n++
+		}
+		p.ok = p.ok && digits()
+	}
+	if !p.ok {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(b[:n]), 64)
+	if err != nil {
+		p.ok = false
+		return 0
+	}
+	p.b = b[n:]
+	return f
+}
+
+// str consumes a string of printable ASCII without escapes and returns
+// its bytes, which alias the input.
+func (p *replyParser) str() []byte {
+	if !p.lit(`"`) {
+		p.ok = false
+		return nil
+	}
+	for n, c := range p.b {
+		if c == '"' {
+			s := p.b[:n]
+			p.b = p.b[n+1:]
+			return s
+		}
+		if c < 0x20 || c >= 0x80 || c == '\\' {
+			break
+		}
+	}
+	p.ok = false
+	return nil
+}
+
+// slotOpen starts every slot object; no canonical string can hold a
+// quote, so counting it counts the slots.
+var slotOpen = []byte(`{"mode":`)
+
+// slots consumes the slot array, or null. A canonical array is decoded
+// into one allocation of exactly its length.
+func (p *replyParser) slots() []Slot {
+	if p.lit("null") {
+		return nil
+	}
+	p.want("[")
+	out := make([]Slot, 0, bytes.Count(p.b, slotOpen))
+	for p.ok && !p.lit("]") {
+		if len(out) > 0 {
+			p.want(",")
+		}
+		var s Slot
+		p.want(`{"mode":`)
+		s.Mode = intern(p.str())
+		p.want(`,"a":`)
+		s.A = uint32(p.uint(math.MaxUint32))
+		if p.lit(`,"b":`) {
+			s.B = uint32(p.uint(math.MaxUint32))
+		}
+		if p.lit(`,"scale":`) {
+			s.Scale = p.float()
+		}
+		p.want(`,"ms":`)
+		s.MS = p.float()
+		p.want("}")
+		out = append(out, s)
+	}
+	return out
+}
+
+// replyNames are the level and mode names a shard writes.
+var replyNames = [...]string{
+	LevelBlossom.String(), LevelGreedy.String(), LevelSerial.String(),
+	sched.ModeSerial.String(), sched.ModeSIC.String(), sched.ModeSolo.String(),
+}
+
+// intern returns b as a string, without allocating when it is one of
+// replyNames.
+func intern(b []byte) string {
+	for _, s := range replyNames {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
 }
 
 // Decode reject reasons, one per counter. Keeping them as errors (rather

@@ -11,13 +11,15 @@
 // arrival order. Shutdown flushes what is queued; Kill drops it.
 //
 // Queries: one goroutine per connection reads newline-delimited commands
-// and writes one JSON reply line per command. Every read is armed with the
-// idle deadline now+IdleTimeout, and so is every reply write: a peer that
-// leaves a reply unread that long is as dead as one that sends nothing.
-// Once shutdown begins, idle connections are nudged out of their reads and
-// a connection that would read another command is answered
-// {"error":"shutting down"} and closed. When the drain's ctx ends first,
-// the tier's abort runs and then every connection is closed.
+// and writes one JSON reply line per command, through the reply's own
+// AppendJSON when it is a JSONAppender (json.go), else a json.Encoder.
+// Every read is armed with the idle deadline now+IdleTimeout, and so is
+// every reply write: a peer that leaves a reply unread that long is as
+// dead as one that sends nothing. Once shutdown begins, idle connections
+// are nudged out of their reads and a connection that would read another
+// command is answered {"error":"shutting down"} and closed. When the
+// drain's ctx ends first, the tier's abort runs and then every connection
+// is closed.
 package serve
 
 import (
@@ -266,6 +268,7 @@ func (l *Listener) serveConn(conn net.Conn) {
 	defer l.handlers.Done()
 	defer l.dropConn(conn)
 	enc := json.NewEncoder(conn)
+	var buf []byte // JSONAppender replies, reused for the life of conn
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 4096), 4096)
 	for {
@@ -283,7 +286,19 @@ func (l *Listener) serveConn(conn net.Conn) {
 			}
 		}
 		if reply != nil {
-			if conn.SetWriteDeadline(l.cfg.Now().Add(l.cfg.IdleTimeout)) != nil || enc.Encode(reply) != nil {
+			if conn.SetWriteDeadline(l.cfg.Now().Add(l.cfg.IdleTimeout)) != nil {
+				return
+			}
+			var err error
+			if a, ok := reply.(JSONAppender); ok {
+				if buf, err = a.AppendJSON(buf[:0]); err == nil {
+					buf = append(buf, '\n')
+					_, err = conn.Write(buf)
+				}
+			} else {
+				err = enc.Encode(reply)
+			}
+			if err != nil {
 				return
 			}
 		}
