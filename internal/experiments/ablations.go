@@ -10,7 +10,6 @@ import (
 	"repro/internal/phy"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // This file implements the ablations DESIGN.md calls out: each isolates one
@@ -133,44 +132,26 @@ func AblationGreedy(ctx context.Context, p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	cfg := trace.DefaultGenConfig(p.Seed)
-	cfg.Days = p.TraceDays
-	snaps, err := trace.GenerateUpload(cfg)
+	st, err := studyFor(ctx, p)
 	if err != nil {
 		return Result{}, err
 	}
-	opts := sched.Options{Channel: p.Channel, PacketBits: p.PacketBits, PowerControl: true}
+	opt, err := st.totals(ctx, variantPowerControl)
+	if err != nil {
+		return Result{}, fmt.Errorf("ablation-greedy: %w", err)
+	}
+	opts := variantOptions(p, variantPowerControl)
 
 	var ratios []float64
-	for _, snap := range snaps {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		if len(snap.Clients) < 4 {
+	for i, snap := range st.snaps {
+		if len(snap.clients) < 4 {
 			continue // greedy == optimal for n ≤ 3 almost always; focus on real pools
 		}
-		clients := make([]sched.Client, len(snap.Clients))
-		ok := true
-		for i, c := range snap.Clients {
-			snr := phy.FromDB(c.SNRdB)
-			if !(snr > 0) {
-				ok = false
-				break
-			}
-			clients[i] = sched.Client{ID: c.ID, SNR: snr}
-		}
-		if !ok {
-			continue
-		}
-		opt, err := sched.New(ctx, clients, opts)
+		gr, err := sched.Greedy(ctx, snap.clients, opts)
 		if err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("ablation-greedy: snapshot %s@%d: %w", snap.ap, snap.unix, err)
 		}
-		gr, err := sched.Greedy(ctx, clients, opts)
-		if err != nil {
-			return Result{}, err
-		}
-		ratios = append(ratios, gr.Total/opt.Total)
+		ratios = append(ratios, gr.Total/opt[i].total)
 	}
 	if len(ratios) == 0 {
 		return Result{}, fmt.Errorf("ablation-greedy: no snapshots with ≥4 clients")

@@ -45,19 +45,20 @@ func ExtAdaptation(ctx context.Context, p Params) (Result, error) {
 	text.WriteString("(two uploaders near the sweet spot; SIC applied at the adapter-chosen rates)\n\n")
 	fmt.Fprintf(&text, "%-12s %-16s %12s %12s %12s\n", "table", "adapter", "efficiency", "sic-gain", "conc-frac")
 
+	ch, err := drawChannel(p, rounds)
+	if err != nil {
+		return Result{}, fmt.Errorf("ext-adaptation: %w", err)
+	}
 	for _, table := range tables {
 		// Oracle throughput reference per table.
 		var oracleTp float64
+		fit := fitTable(ch, table)
 		roster := adapt.Roster(table, rand.New(rand.NewSource(p.Seed)))
 		results := make([]pairedResult, len(roster))
 		for i, a := range roster {
-			r, err := runPaired(a, table, p, rounds)
-			if err != nil {
-				return Result{}, fmt.Errorf("ext-adaptation: %s/%s: %w", table.Name(), a.Name(), err)
-			}
-			results[i] = r
+			results[i] = runPaired(a, table, p, ch, fit)
 			if a.Name() == "oracle" {
-				oracleTp = r.serialThroughput
+				oracleTp = results[i].serialThroughput
 			}
 		}
 		for i, a := range roster {
@@ -104,9 +105,62 @@ type pairedResult struct {
 	concFrac         float64 // fraction of rounds with feasible concurrency
 }
 
+// channelRound is one round of ExtAdaptation's channel: both clients'
+// SNRs and the capacities the concurrency check compares the chosen rates
+// with.
+type channelRound struct {
+	s1, s2    float64 // strong-mean and weak-mean client SNR (linear)
+	capStrong float64 // Capacity(SINR(stronger, weaker))
+	capWeak   float64 // Capacity(weaker)
+}
+
+// drawChannel draws rounds of two independently fading clients at the
+// pairing sweet spot: weak at 15 dB mean, strong at ~2× in dB. It runs once
+// per ExtAdaptation call, so every adapter run sees the same rounds.
+func drawChannel(p Params, rounds int) ([]channelRound, error) {
+	weakMean := 15.0
+	strongMean := phy.DB(phy.FromDB(weakMean) * (phy.FromDB(weakMean) + 1))
+	f1, err := phy.NewFading(strongMean, 4, 0.9)
+	if err != nil {
+		return nil, err
+	}
+	f2, err := phy.NewFading(weakMean, 4, 0.9)
+	if err != nil {
+		return nil, err
+	}
+	rng1 := rand.New(rand.NewSource(p.Seed + 11))
+	rng2 := rand.New(rand.NewSource(p.Seed + 22))
+	ch := make([]channelRound, rounds)
+	for i := range ch {
+		s1, s2 := f1.Next(rng1), f2.Next(rng2)
+		strong, weak := s1, s2
+		if s2 > s1 {
+			strong, weak = s2, s1
+		}
+		ch[i] = channelRound{
+			s1: s1, s2: s2,
+			capStrong: p.Channel.Capacity(phy.SINR(strong, weak)),
+			capWeak:   p.Channel.Capacity(weak),
+		}
+	}
+	return ch, nil
+}
+
+// tableFit is one round's highest table rate per client.
+type tableFit struct{ r1, r2 float64 }
+
+// fitTable evaluates table at both clients' SNR in every round of ch.
+func fitTable(ch []channelRound, table rates.Table) []tableFit {
+	fit := make([]tableFit, len(ch))
+	for i, c := range ch {
+		fit[i] = tableFit{r1: table.Rate(c.s1), r2: table.Rate(c.s2)}
+	}
+	return fit
+}
+
 // runPaired simulates two clients running independent copies of the same
-// adapter class over correlated-fading channels at the pairing sweet spot.
-func runPaired(proto adapt.Adapter, table rates.Table, p Params, rounds int) (pairedResult, error) {
+// adapter class over the drawn channel ch, whose table rates are fit.
+func runPaired(proto adapt.Adapter, table rates.Table, p Params, ch []channelRound, fit []tableFit) pairedResult {
 	// Two adapter instances: rebuild a fresh one of the same kind by Reset;
 	// adapters are stateful, so clone via the roster is impossible — run
 	// the strong and weak clients with two Reset instances sequentially is
@@ -114,20 +168,7 @@ func runPaired(proto adapt.Adapter, table rates.Table, p Params, rounds int) (pa
 	a1, a2 := cloneAdapter(proto, table, p.Seed+100), cloneAdapter(proto, table, p.Seed+200)
 	a1.Reset()
 	a2.Reset()
-
-	// Sweet spot: weak at 15 dB mean, strong at ~2× in dB.
-	weakMean := 15.0
-	strongMean := phy.DB(phy.FromDB(weakMean) * (phy.FromDB(weakMean) + 1))
-	f1, err := phy.NewFading(strongMean, 4, 0.9)
-	if err != nil {
-		return pairedResult{}, err
-	}
-	f2, err := phy.NewFading(weakMean, 4, 0.9)
-	if err != nil {
-		return pairedResult{}, err
-	}
-	rng1 := rand.New(rand.NewSource(p.Seed + 11))
-	rng2 := rand.New(rand.NewSource(p.Seed + 22))
+	lowest := table.Steps()[0].BitsPerSec
 
 	var (
 		serialAir float64
@@ -135,21 +176,19 @@ func runPaired(proto adapt.Adapter, table rates.Table, p Params, rounds int) (pa
 		delivered float64
 		concRound int
 	)
-	for i := 0; i < rounds; i++ {
-		s1 := f1.Next(rng1)
-		s2 := f2.Next(rng2)
+	for i, c := range ch {
+		s1, s2 := c.s1, c.s2
 		r1 := a1.Pick(s1)
 		r2 := a2.Pick(s2)
 		if r1 <= 0 || r2 <= 0 {
-			lowest := table.Steps()[0].BitsPerSec
 			serialAir += 2 * p.PacketBits / lowest
 			sicAir += 2 * p.PacketBits / lowest
 			a1.Observe(false)
 			a2.Observe(false)
 			continue
 		}
-		ok1 := r1 <= table.Rate(s1)
-		ok2 := r2 <= table.Rate(s2)
+		ok1 := r1 <= fit[i].r1
+		ok2 := r2 <= fit[i].r2
 		t1 := p.PacketBits / r1
 		t2 := p.PacketBits / r2
 		serialAir += t1 + t2
@@ -163,15 +202,11 @@ func runPaired(proto adapt.Adapter, table rates.Table, p Params, rounds int) (pa
 		// Concurrency check at the chosen rates: the stronger signal must
 		// be decodable under the weaker's interference, the weaker after
 		// cancellation — the paper's Eqs. (1)-(2) with actual rates.
-		strongSNR, weakSNR := s1, s2
 		rStrong, rWeak := r1, r2
 		if s2 > s1 {
-			strongSNR, weakSNR = s2, s1
 			rStrong, rWeak = r2, r1
 		}
-		feasible := ok1 && ok2 &&
-			rStrong <= p.Channel.Capacity(phy.SINR(strongSNR, weakSNR)) &&
-			rWeak <= p.Channel.Capacity(weakSNR)
+		feasible := ok1 && ok2 && rStrong <= c.capStrong && rWeak <= c.capWeak
 		if feasible {
 			concRound++
 			sicAir += math.Max(t1, t2)
@@ -182,14 +217,14 @@ func runPaired(proto adapt.Adapter, table rates.Table, p Params, rounds int) (pa
 		a2.Observe(ok2)
 	}
 
-	res := pairedResult{concFrac: float64(concRound) / float64(rounds)}
+	res := pairedResult{concFrac: float64(concRound) / float64(len(ch))}
 	if serialAir > 0 {
 		res.serialThroughput = delivered / serialAir
 	}
 	if sicAir > 0 {
 		res.sicGain = serialAir / sicAir
 	}
-	return res, nil
+	return res
 }
 
 // cloneAdapter builds a fresh adapter of the same class as proto.

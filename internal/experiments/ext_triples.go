@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/phy"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // ExtTriples is an extension experiment beyond the paper's two-signal
@@ -20,16 +18,15 @@ func ExtTriples(ctx context.Context, p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	cfg := trace.DefaultGenConfig(p.Seed)
-	cfg.Days = p.TraceDays
-	snaps, err := trace.GenerateUpload(cfg)
+	st, err := studyFor(ctx, p)
 	if err != nil {
 		return Result{}, err
 	}
-	opts := sched.Options{Channel: p.Channel, PacketBits: p.PacketBits}
+	paired, err := st.totals(ctx, variantPairing)
+	if err != nil {
+		return Result{}, fmt.Errorf("ext-triples: %w", err)
+	}
+	opts := variantOptions(p, variantPairing)
 	// One grouper serves every snapshot: it is documented to produce exactly
 	// the results of its one-shot counterpart (sched.GroupsOfUpTo3) while
 	// reusing its candidate scratch between calls.
@@ -38,32 +35,19 @@ func ExtTriples(ctx context.Context, p Params) (Result, error) {
 	var (
 		ratios     []float64 // pairTotal / groupTotal per snapshot (≥ 1 means triples help)
 		tripleUsed int
-		usable     int
-		clients    []sched.Client
 	)
-	for _, snap := range snaps {
-		if len(snap.Clients) < 3 {
+	for i, snap := range st.snaps {
+		if len(snap.clients) < 3 {
 			continue
 		}
-		clients = clients[:0]
-		for _, c := range snap.Clients {
-			if snr := phy.FromDB(c.SNRdB); snr > 0 {
-				clients = append(clients, sched.Client{ID: c.ID, SNR: snr})
-			}
-		}
-		if len(clients) < 3 {
-			continue
-		}
-		usable++
-		paired, err := sched.New(ctx, clients, opts)
-		if err != nil {
+		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		grouped, err := grouper.Plan(clients, opts)
+		grouped, err := grouper.Plan(snap.clients, opts)
 		if err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("ext-triples: snapshot %s@%d: %w", snap.ap, snap.unix, err)
 		}
-		ratios = append(ratios, paired.Total/grouped.Total)
+		ratios = append(ratios, paired[i].total/grouped.Total)
 		for _, sl := range grouped.Slots {
 			if len(sl.Members) == 3 {
 				tripleUsed++
@@ -71,6 +55,7 @@ func ExtTriples(ctx context.Context, p Params) (Result, error) {
 			}
 		}
 	}
+	usable := len(ratios)
 	if usable == 0 {
 		return Result{}, fmt.Errorf("ext-triples: no snapshots with ≥3 clients")
 	}

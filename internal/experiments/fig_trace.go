@@ -10,7 +10,6 @@ import (
 	"repro/internal/phy"
 	"repro/internal/plot"
 	"repro/internal/rates"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -24,61 +23,27 @@ func Fig13(ctx context.Context, p Params) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	cfg := trace.DefaultGenConfig(p.Seed)
-	cfg.Days = p.TraceDays
-	snaps, err := trace.GenerateUpload(cfg)
+	st, err := studyFor(ctx, p)
 	if err != nil {
 		return Result{}, err
 	}
-
-	variants := []struct {
-		name string
-		opts sched.Options
-	}{
-		{"SIC pairing", sched.Options{Channel: p.Channel, PacketBits: p.PacketBits}},
-		{"SIC+power-control", sched.Options{Channel: p.Channel, PacketBits: p.PacketBits, PowerControl: true}},
-		{"SIC+multirate", sched.Options{Channel: p.Channel, PacketBits: p.PacketBits, Multirate: true}},
-	}
-
-	gains := make([][]float64, len(variants))
-	usable := 0
-	for _, snap := range snaps {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		if len(snap.Clients) < 2 {
-			continue
-		}
-		clients := make([]sched.Client, len(snap.Clients))
-		valid := true
-		for i, c := range snap.Clients {
-			snr := phy.FromDB(c.SNRdB)
-			if !(snr > 0) {
-				valid = false
-				break
-			}
-			clients[i] = sched.Client{ID: c.ID, SNR: snr}
-		}
-		if !valid {
-			continue
-		}
-		usable++
-		for vi, v := range variants {
-			s, err := sched.New(ctx, clients, v.opts)
-			if err != nil {
-				return Result{}, fmt.Errorf("fig13: snapshot %s@%d: %w", snap.AP, snap.Unix, err)
-			}
-			gains[vi] = append(gains[vi], s.Gain())
-		}
-	}
+	usable := len(st.snaps)
 	if usable == 0 {
 		return Result{}, fmt.Errorf("fig13: trace produced no snapshots with ≥2 clients")
 	}
 
 	metrics := map[string]float64{"usable_snapshots": float64(usable)}
 	var series []plot.Series
-	for vi, v := range variants {
-		e, err := stats.NewECDF(gains[vi])
+	gains := make([]float64, usable)
+	for vi, v := range uploadVariants {
+		totals, err := st.totals(ctx, vi)
+		if err != nil {
+			return Result{}, fmt.Errorf("fig13: %w", err)
+		}
+		for i, t := range totals {
+			gains[i] = t.gain()
+		}
+		e, err := stats.NewECDF(gains)
 		if err != nil {
 			return Result{}, err
 		}

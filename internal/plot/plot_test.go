@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -167,6 +170,85 @@ func TestWriteSeriesCSV(t *testing.T) {
 	// x=3: both at 1.
 	if lines[3] != "3,1,1" {
 		t.Errorf("row3 = %q", lines[3])
+	}
+}
+
+// stepAt evaluates a series at x with left-continuous step interpolation:
+// the y of the largest series-x not exceeding x, else 0. It is the oracle
+// for WriteSeriesCSV's per-series cursors.
+func stepAt(s Series, x float64) float64 {
+	i := sort.SearchFloat64s(s.X, x)
+	for i < len(s.X) && s.X[i] == x {
+		i++
+	}
+	if i == 0 {
+		return 0
+	}
+	return s.Y[i-1]
+}
+
+// referenceSeriesCSV renders what WriteSeriesCSV must write, cell by cell:
+// every series evaluated by stepAt at every x of the union, formatted
+// with fmt's %g.
+func referenceSeriesCSV(xName string, series ...Series) string {
+	var xs []float64
+	var b strings.Builder
+	b.WriteString(xName)
+	for _, s := range series {
+		xs = append(xs, s.X...)
+		b.WriteString("," + s.Name)
+	}
+	b.WriteByte('\n')
+	sort.Float64s(xs)
+	for _, x := range slices.Compact(xs) {
+		fmt.Fprintf(&b, "%g", x)
+		for _, s := range series {
+			fmt.Fprintf(&b, ",%g", stepAt(s, x))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestWriteSeriesCSVMatchesStepAt compares the writer with the stepAt
+// oracle on random CDF-shaped series drawn from a coarse grid, so x values
+// shared between series, repeated x values within a series (as a raw
+// sorted sample has them) and empty series all occur.
+func TestWriteSeriesCSVMatchesStepAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		series := make([]Series, 1+rng.Intn(4))
+		for si := range series {
+			sample := make([]float64, rng.Intn(25))
+			for i := range sample {
+				sample[i] = float64(rng.Intn(24)-4) / 3
+			}
+			name := fmt.Sprintf("s%d", si)
+			switch {
+			case len(sample) == 0:
+				series[si] = Series{Name: name}
+			case rng.Intn(2) == 0:
+				e, err := stats.NewECDF(sample)
+				if err != nil {
+					t.Fatal(err)
+				}
+				series[si] = SeriesFromECDF(name, e)
+			default:
+				sort.Float64s(sample)
+				ys := make([]float64, len(sample))
+				for i := range ys {
+					ys[i] = float64(i+1) / float64(len(ys))
+				}
+				series[si] = Series{Name: name, X: sample, Y: ys}
+			}
+		}
+		var got strings.Builder
+		if err := WriteSeriesCSV(&got, "x", series...); err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceSeriesCSV("x", series...); got.String() != want {
+			t.Fatalf("trial %d: CSV\n%s\nwant\n%s", trial, got.String(), want)
+		}
 	}
 }
 

@@ -179,8 +179,10 @@ const maxBackoff = 5 * time.Second
 // Run executes the suite under ctx and returns the per-figure report. The
 // returned error covers infrastructure only (an unusable output directory
 // or checkpoint log); figure failures live in the report so one bad
-// driver never takes down the rest of the suite.
+// driver never takes down the rest of the suite. The drivers of one Run
+// share inputs through one experiments.WithSuiteMemo, which ends with it.
 func Run(ctx context.Context, runners []experiments.Runner, o Options) (rep *Report, err error) {
+	ctx = experiments.WithSuiteMemo(ctx)
 	opts := o.withDefaults()
 	if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: creating output directory: %w", err)

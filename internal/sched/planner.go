@@ -224,12 +224,13 @@ func (p *Planner) rebuild(ctx context.Context, clients []Client) error {
 }
 
 // setPair recomputes the joint cost of clients i and j and pushes it into
-// the table and the matcher.
+// the table and the matcher. It reads their solo airtimes from the cache
+// prepare has just filled for clients.
 func (p *Planner) setPair(clients []Client, i, j int) error {
 	if i > j {
 		i, j = j, i
 	}
-	t, mode, scale := pairCost(clients[i], clients[j], p.opts)
+	t, mode, scale := pairCost(clients[i], clients[j], p.solo[i], p.solo[j], p.opts)
 	ns, err := costNanos(t)
 	if err != nil {
 		return fmt.Errorf("pair (%q, %q): %w", clients[i].ID, clients[j].ID, err)

@@ -45,7 +45,8 @@ type Options struct {
 	// Rate optionally replaces the ideal Shannon rate with a discrete table
 	// (e.g. rates.Dot11g.RateFunc()). When set, PowerControl and Multirate
 	// are ignored for cost purposes: the paper applies those techniques to
-	// the continuous-rate analysis.
+	// the continuous-rate analysis. GroupsOfUpTo3 rejects it: its 3-chain
+	// cost has no discrete-rate form.
 	Rate core.RateFunc
 	// Residual is the receiver's known residual-cancellation fraction β
 	// (see core.Pair.SICTimeImperfect). A residual-aware scheduler derates
@@ -145,10 +146,11 @@ func soloTime(c Client, o Options) float64 {
 	return phy.TxTime(o.PacketBits, o.Channel.Capacity(c.SNR))
 }
 
-// pairCost computes the best joint drain time for clients a and b and the
-// mode/power-scale achieving it.
-func pairCost(a, b Client, o Options) (t float64, mode Mode, weakScale float64) {
-	serial := soloTime(a, o) + soloTime(b, o)
+// pairCost computes the best joint drain time for clients a and b, whose
+// solo airtimes (soloTime) are soloA and soloB, and the mode/power-scale
+// achieving it.
+func pairCost(a, b Client, soloA, soloB float64, o Options) (t float64, mode Mode, weakScale float64) {
+	serial := soloA + soloB
 	p := core.Pair{S1: a.SNR, S2: b.SNR}
 
 	var joint float64

@@ -161,7 +161,7 @@ func TestScheduleFourClientIllustration(t *testing.T) {
 
 	// The optimal matching must weakly beat every alternative pairing.
 	pairTime := func(i, j int) float64 {
-		tm, _, _ := pairCost(cs[i], cs[j], opts)
+		tm, _, _ := pairCost(cs[i], cs[j], soloTime(cs[i], opts), soloTime(cs[j], opts), opts)
 		return tm
 	}
 	alternatives := [][2][2]int{

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/phy"
 )
 
 // This file extends the §6 scheduler beyond the paper: the paper restricts
@@ -88,7 +87,9 @@ type Grouper struct {
 // GroupsOfUpTo3 plans a one-packet-per-client drain allowing slots of up to
 // three concurrent transmitters. Slot costs: solo airtime, the §6 pair cost
 // (with the serial fallback), and the 3-chain completion time (again with
-// the fallback). Groups are chosen greedily by airtime saved.
+// the fallback). Groups are chosen greedily by airtime saved. Costs are at
+// Shannon capacity: the 3-chain time has no discrete-rate form, so an
+// Options.Rate is rejected.
 func GroupsOfUpTo3(clients []Client, o Options) (GroupSchedule, error) {
 	var g Grouper
 	return g.Plan(clients, o)
@@ -103,6 +104,9 @@ func (g *Grouper) Plan(clients []Client, o Options) (GroupSchedule, error) {
 	if o.Channel.BandwidthHz <= 0 || o.PacketBits <= 0 {
 		return GroupSchedule{}, errors.New("sched: Options.Channel and PacketBits are required")
 	}
+	if o.Rate != nil {
+		return GroupSchedule{}, errors.New("sched: grouped schedules support Shannon rates only; Options.Rate must be nil")
+	}
 	n := len(clients)
 	if cap(g.solo) < n {
 		g.solo = make([]float64, n)
@@ -114,7 +118,7 @@ func (g *Grouper) Plan(clients []Client, o Options) (GroupSchedule, error) {
 		if !(c.SNR > 0) || math.IsNaN(c.SNR) || math.IsInf(c.SNR, 1) {
 			return GroupSchedule{}, fmt.Errorf("sched: client %d (%q) has invalid SNR %v", i, c.ID, c.SNR)
 		}
-		solo[i] = phy.TxTime(o.PacketBits, o.Channel.Capacity(c.SNR))
+		solo[i] = soloTime(c, o)
 		if math.IsInf(solo[i], 1) {
 			return GroupSchedule{}, fmt.Errorf("sched: client %q unreachable", c.ID)
 		}
@@ -134,7 +138,7 @@ func (g *Grouper) Plan(clients []Client, o Options) (GroupSchedule, error) {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			t, _, _ := pairCost(clients[i], clients[j], o)
+			t, _, _ := pairCost(clients[i], clients[j], solo[i], solo[j], o)
 			add([3]int{i, j, -1}, 2, t)
 			for k := j + 1; k < n; k++ {
 				chain := [3]float64{clients[i].SNR, clients[j].SNR, clients[k].SNR}

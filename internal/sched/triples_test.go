@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/phy"
+	"repro/internal/rates"
 )
 
 func TestGroupsValidation(t *testing.T) {
@@ -20,6 +21,24 @@ func TestGroupsValidation(t *testing.T) {
 	}
 	if _, err := GroupsOfUpTo3([]Client{{ID: "x", SNR: -1}}, opts); err == nil {
 		t.Error("bad SNR accepted")
+	}
+}
+
+// TestGroupsRejectDiscreteRates: the 3-chain cost has no discrete-rate
+// form, so a grouped plan under Options.Rate would mix Shannon-rate solo
+// and triple times with table-rate pairs. For clients at 30/12/8 dB on
+// 802.11g it would price the serial drain at 0.417 ms where sched.New, on
+// the table, gives 2.222 ms. The grouper refuses such options instead.
+func TestGroupsRejectDiscreteRates(t *testing.T) {
+	o := opts
+	o.Rate = rates.Dot11g.RateFunc()
+	cs := clientsFromDB(30, 12, 8)
+	if _, err := GroupsOfUpTo3(cs, o); err == nil {
+		t.Error("GroupsOfUpTo3 accepted Options.Rate")
+	}
+	var g Grouper
+	if _, err := g.Plan(cs, o); err == nil {
+		t.Error("Grouper.Plan accepted Options.Rate")
 	}
 }
 
@@ -152,7 +171,8 @@ func exactGroupsUpTo3(t *testing.T, clients []Client, o Options) float64 {
 		case 1:
 			return solo[members[0]]
 		case 2:
-			tm, _, _ := pairCost(clients[members[0]], clients[members[1]], o)
+			a, b := clients[members[0]], clients[members[1]]
+			tm, _, _ := pairCost(a, b, soloTime(a, o), soloTime(b, o), o)
 			return tm
 		case 3:
 			snrs := []float64{clients[members[0]].SNR, clients[members[1]].SNR, clients[members[2]].SNR}

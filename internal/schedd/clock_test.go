@@ -1,6 +1,7 @@
 package schedd
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -46,7 +47,7 @@ func TestInjectedClockDrivesAllTimeReads(t *testing.T) {
 	var deadlines []time.Time
 	cfg := Config{
 		now: fc.Now,
-		slowLevel: func(l Level) {
+		slowLevel: func(_ context.Context, l Level) {
 			if l == LevelBlossom {
 				fc.Advance(50 * time.Millisecond)
 			}

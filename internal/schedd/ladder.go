@@ -51,9 +51,10 @@ type ladderResult struct {
 // ladderHooks bundles runLadder's injection points. Every field is
 // optional; the zero value runs the ladder untimed and unobserved.
 type ladderHooks struct {
-	// slow is a test hook invoked before each rung runs; tests use it to
-	// simulate pathological solver latency.
-	slow func(Level)
+	// slow is a test hook invoked before each rung runs, with the ctx the
+	// rung's solver will get; tests use it to simulate pathological solver
+	// latency.
+	slow func(context.Context, Level)
 	// now is the clock used to time rung attempts; timing is skipped when
 	// now or observe is nil. The server passes its injected clock here so
 	// fake-clock tests see exact rung latencies.
@@ -64,16 +65,16 @@ type ladderHooks struct {
 	observe func(Level, time.Duration)
 }
 
-// timed runs one rung attempt under the hooks' clock.
-func (h ladderHooks) timed(l Level, f func() (sched.Schedule, error)) (sched.Schedule, error) {
+// timed runs one rung attempt, run(ctx), under the hooks' clock.
+func (h ladderHooks) timed(ctx context.Context, l Level, run func(context.Context) (sched.Schedule, error)) (sched.Schedule, error) {
 	if h.slow != nil {
-		h.slow(l)
+		h.slow(ctx, l)
 	}
 	if h.now == nil || h.observe == nil {
-		return f()
+		return run(ctx)
 	}
 	t0 := h.now()
-	s, err := f()
+	s, err := run(ctx)
 	h.observe(l, h.now().Sub(t0))
 	return s, err
 }
@@ -119,7 +120,7 @@ func runLadder(ctx context.Context, clients []sched.Client, opts sched.Options, 
 		if r.budget > 0 {
 			rctx, cancel = context.WithTimeout(ctx, r.budget)
 		}
-		s, err := h.timed(r.level, func() (sched.Schedule, error) { return r.run(rctx) })
+		s, err := h.timed(rctx, r.level, r.run)
 		if cancel != nil {
 			cancel()
 		}
@@ -127,7 +128,7 @@ func runLadder(ctx context.Context, clients []sched.Client, opts sched.Options, 
 			return ladderResult{schedule: s, level: r.level}, nil
 		}
 	}
-	s, err := h.timed(LevelSerial, func() (sched.Schedule, error) { return sched.Serial(clients, opts) })
+	s, err := h.timed(ctx, LevelSerial, func(context.Context) (sched.Schedule, error) { return sched.Serial(clients, opts) })
 	if err != nil {
 		return ladderResult{}, err
 	}

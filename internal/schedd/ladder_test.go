@@ -36,21 +36,29 @@ func TestLadderPrefersBlossom(t *testing.T) {
 	}
 }
 
-// TestLadderDegradesUnderBudgets: a simulated slow solver (60 ms per rung)
-// under a 50 ms blossom budget and 10 ms greedy budget must degrade all the
-// way to serial — and still answer. This is the acceptance scenario: a
-// 40-client snapshot with an injected per-rung stall can never hold a query
-// past its deadline.
+// stall simulates a solver that overruns its rung's budget: it returns
+// once the rung's ctx is done, so the solver that follows always starts on
+// a dead ctx. The cap only bounds a test whose budget never fires.
+func stall(ctx context.Context) {
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+	}
+}
+
+// TestLadderDegradesUnderBudgets: a simulated slow solver that overruns
+// every matching rung under a 50 ms blossom budget and 10 ms greedy budget
+// must degrade all the way to serial — and still answer. This is the
+// acceptance scenario: a 40-client snapshot with an injected per-rung
+// stall can never hold a query past its deadline.
 func TestLadderDegradesUnderBudgets(t *testing.T) {
 	clients := ladderClients(40)
-	delays := map[Level]time.Duration{
-		LevelBlossom: 60 * time.Millisecond,
-		LevelGreedy:  60 * time.Millisecond,
-	}
 	var visited []Level
-	slow := func(l Level) {
+	slow := func(ctx context.Context, l Level) {
 		visited = append(visited, l)
-		time.Sleep(delays[l])
+		if l != LevelSerial {
+			stall(ctx)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -83,7 +91,7 @@ func TestLadderSkipsToSerialOnDeadQuery(t *testing.T) {
 	var visited []Level
 	res, err := runLadder(ctx, ladderClients(6), ladderOpts,
 		Budgets{Blossom: time.Second, Greedy: time.Second},
-		ladderHooks{slow: func(l Level) { visited = append(visited, l) }}, nil)
+		ladderHooks{slow: func(_ context.Context, l Level) { visited = append(visited, l) }}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +106,9 @@ func TestLadderSkipsToSerialOnDeadQuery(t *testing.T) {
 // TestLadderGreedyRung: blossom exhausted, greedy fits — the middle rung
 // answers and is recorded.
 func TestLadderGreedyRung(t *testing.T) {
-	slow := func(l Level) {
+	slow := func(ctx context.Context, l Level) {
 		if l == LevelBlossom {
-			time.Sleep(30 * time.Millisecond)
+			stall(ctx)
 		}
 	}
 	res, err := runLadder(context.Background(), ladderClients(10), ladderOpts,

@@ -99,9 +99,9 @@ type Config struct {
 	// fake-clock tests intercept it to check deadline arithmetic and bridge
 	// to real deadlines.
 	setReadDeadline func(net.Conn, time.Time) error
-	// slowLevel is a test hook invoked before each ladder rung runs; tests
-	// use it to simulate pathological solver latency.
-	slowLevel func(Level)
+	// slowLevel is a test hook invoked before each ladder rung runs, with
+	// the rung's ctx; tests use it to simulate pathological solver latency.
+	slowLevel func(context.Context, Level)
 	// holdIngest, when non-nil, blocks the decode worker until closed —
 	// a test hook to fill the ingest queue deterministically.
 	holdIngest chan struct{}

@@ -249,7 +249,7 @@ func TestServerOverloadRetryAfter(t *testing.T) {
 		RetryAfter:    123 * time.Millisecond,
 		QueryDeadline: 5 * time.Second,
 		Budgets:       Budgets{Blossom: 4 * time.Second, Greedy: time.Second},
-		slowLevel: func(l Level) {
+		slowLevel: func(_ context.Context, l Level) {
 			if l == LevelBlossom {
 				once.Do(func() { <-release })
 			}
@@ -310,9 +310,9 @@ func TestServerDeadlineDegradation(t *testing.T) {
 	s, err := Start(Config{
 		Budgets:       Budgets{Blossom: 50 * time.Millisecond, Greedy: 10 * time.Millisecond},
 		QueryDeadline: 400 * time.Millisecond,
-		slowLevel: func(l Level) {
+		slowLevel: func(ctx context.Context, l Level) {
 			if l != LevelSerial {
-				time.Sleep(60 * time.Millisecond)
+				stall(ctx)
 			}
 		},
 	})
@@ -362,7 +362,7 @@ func TestServerShutdownDrainsInFlightQuery(t *testing.T) {
 	s, err := Start(Config{
 		QueryDeadline: 5 * time.Second,
 		Budgets:       Budgets{Blossom: 4 * time.Second, Greedy: time.Second},
-		slowLevel: func(l Level) {
+		slowLevel: func(_ context.Context, l Level) {
 			if l == LevelBlossom {
 				once.Do(func() { close(entered) })
 				time.Sleep(150 * time.Millisecond)

@@ -301,6 +301,8 @@ type GroupSchedule = sched.GroupSchedule
 // GroupsOfUpTo3 plans a drain allowing slots of up to three concurrent
 // uploaders decoded by a 3-stage SIC chain — the K-signal generalisation
 // the paper leaves as future work. Grouping is greedy by airtime saved.
+// Costs are at Shannon capacity; options with a discrete Rate are
+// rejected with an error.
 func GroupsOfUpTo3(clients []SchedClient, o SchedOptions) (GroupSchedule, error) {
 	return sched.GroupsOfUpTo3(clients, o)
 }
